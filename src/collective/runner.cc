@@ -1,9 +1,13 @@
 #include "collective/runner.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace flowpulse::collective {
+namespace {
+constexpr std::uint32_t kNoRank = ~std::uint32_t{0};
+}  // namespace
 
 CollectiveRunner::CollectiveRunner(sim::Simulator& simulator,
                                    transport::TransportLayer& transports,
@@ -12,10 +16,18 @@ CollectiveRunner::CollectiveRunner(sim::Simulator& simulator,
       transports_{transports},
       config_{std::move(config)},
       rng_{simulator.rng().split()},
-      schedule_{config_.schedule},
+      schedule_{std::move(config_.schedule)},
       ranks_{static_cast<std::uint32_t>(config_.hosts.size())} {
   assert(!config_.hosts.empty());
   assert(config_.schedule_generator || schedule_.ranks == ranks_);
+  std::uint32_t max_host = 0;
+  for (const net::HostId h : config_.hosts) max_host = std::max(max_host, h.v());
+  rank_of_host_.assign(max_host + 1, kNoRank);
+  for (std::uint32_t r = 0; r < ranks_; ++r) {
+    assert(rank_of_host_[config_.hosts[r].v()] == kNoRank);  // one rank per host
+    rank_of_host_[config_.hosts[r].v()] = r;
+  }
+  pending_.resize(ranks_);
   // Subscribe to message completions at every participating host.
   for (std::uint32_t r = 0; r < ranks_; ++r) {
     const net::HostId h = config_.hosts[r];
@@ -56,19 +68,35 @@ void CollectiveRunner::begin_iteration(std::uint32_t iteration) {
   }
 
   const std::uint32_t stages = static_cast<std::uint32_t>(schedule_.stages.size());
-  recv_remaining_.assign(stages, std::vector<std::uint32_t>(ranks_, 0));
+  const std::size_t cells = static_cast<std::size_t>(stages) * ranks_;
+  recv_remaining_.assign(cells, 0);
+  // Counting sort of sends by (stage, src rank): count cell c at
+  // launch_begin_[c + 2], so that after the prefix sum launch_begin_[c + 1]
+  // is cell c's first slot and serves as its fill cursor; once filled,
+  // launch_begin_[c] is cell c's first slot and launch_begin_[c + 1] its end.
+  launch_begin_.assign(cells + 2, 0);
   total_recv_remaining_ = 0;
   for (std::uint32_t k = 0; k < stages; ++k) {
     for (const Send& s : schedule_.stages[k].sends) {
-      ++recv_remaining_[k][s.dst_rank];
+      ++recv_remaining_[std::size_t{k} * ranks_ + s.dst_rank];
+      ++launch_begin_[std::size_t{k} * ranks_ + s.src_rank + 2];
       ++total_recv_remaining_;
+    }
+  }
+  for (std::size_t c = 1; c < launch_begin_.size(); ++c) launch_begin_[c] += launch_begin_[c - 1];
+  send_order_.resize(total_recv_remaining_);
+  for (std::uint32_t k = 0; k < stages; ++k) {
+    const std::vector<Send>& sends = schedule_.stages[k].sends;
+    for (std::uint32_t i = 0; i < sends.size(); ++i) {
+      send_order_[launch_begin_[std::size_t{k} * ranks_ + sends[i].src_rank + 1]++] = i;
     }
   }
   stages_clear_.assign(ranks_, 0);
   next_stage_.assign(ranks_, 0);
   // A rank may have nothing to receive in leading stages; normalize.
   for (std::uint32_t r = 0; r < ranks_; ++r) {
-    while (stages_clear_[r] < stages && recv_remaining_[stages_clear_[r]][r] == 0) {
+    while (stages_clear_[r] < stages &&
+           recv_remaining_[std::size_t{stages_clear_[r]} * ranks_ + r] == 0) {
       ++stages_clear_[r];
     }
   }
@@ -112,8 +140,10 @@ void CollectiveRunner::advance(std::uint32_t rank) {
 
 void CollectiveRunner::launch_stage(std::uint32_t rank, std::uint32_t stage) {
   const net::HostId src_host = config_.hosts[rank];
-  for (const Send& s : schedule_.stages[stage].sends) {
-    if (s.src_rank != rank) continue;
+  const std::vector<Send>& sends = schedule_.stages[stage].sends;
+  const std::size_t cell = std::size_t{stage} * ranks_ + rank;
+  for (std::uint32_t i = launch_begin_[cell]; i < launch_begin_[cell + 1]; ++i) {
+    const Send& s = sends[send_order_[i]];
     transport::MessageSpec spec;
     spec.dst = config_.hosts[s.dst_rank];
     spec.bytes = s.bytes;
@@ -121,17 +151,24 @@ void CollectiveRunner::launch_stage(std::uint32_t rank, std::uint32_t stage) {
     spec.priority = config_.priority;
     const double value = config_.validate_data ? acc_[rank][s.chunk] : 0.0;
     const std::uint64_t msg_id = transports_.at(src_host).send_message(spec);
-    pending_.emplace(msg_key(src_host, msg_id),
-                     PendingMsg{iteration_, stage, s.dst_rank, s.chunk, value});
+    // Ids in between belong to other jobs sharing this host pair; they stay
+    // non-live slots, or are skipped entirely when the window is empty.
+    PendingWindow& window = pending_[rank].add(spec.dst);
+    if (window.empty()) window.rebase(msg_id);
+    window.extend_to(msg_id) = PendingMsg{iteration_, stage, s.dst_rank, s.chunk, value, true};
   }
 }
 
 void CollectiveRunner::on_recv(net::HostId at_host, const transport::RecvInfo& info) {
-  (void)at_host;
-  auto it = pending_.find(msg_key(info.src, info.msg_id));
-  if (it == pending_.end()) return;  // another job's message
-  const PendingMsg msg = it->second;
-  pending_.erase(it);
+  const std::uint32_t src_rank =
+      info.src.v() < rank_of_host_.size() ? rank_of_host_[info.src.v()] : kNoRank;
+  if (src_rank == kNoRank) return;  // another job's message
+  PendingWindow* window = pending_[src_rank].find(at_host);
+  PendingMsg* slot = window != nullptr ? window->find(info.msg_id) : nullptr;
+  if (slot == nullptr || !slot->live) return;  // another job's message
+  const PendingMsg msg = *slot;
+  slot->live = false;
+  window->pop_front_while([](const PendingMsg& m) { return !m.live; });
   assert(msg.iteration == iteration_);
 
   const std::uint32_t rank = msg.dst_rank;
@@ -143,12 +180,13 @@ void CollectiveRunner::on_recv(net::HostId at_host, const transport::RecvInfo& i
     }
   }
 
-  assert(recv_remaining_[msg.stage][rank] > 0);
-  --recv_remaining_[msg.stage][rank];
+  assert(recv_remaining_[std::size_t{msg.stage} * ranks_ + rank] > 0);
+  --recv_remaining_[std::size_t{msg.stage} * ranks_ + rank];
   --total_recv_remaining_;
 
   const std::uint32_t stages = static_cast<std::uint32_t>(schedule_.stages.size());
-  while (stages_clear_[rank] < stages && recv_remaining_[stages_clear_[rank]][rank] == 0) {
+  while (stages_clear_[rank] < stages &&
+         recv_remaining_[std::size_t{stages_clear_[rank]} * ranks_ + rank] == 0) {
     ++stages_clear_[rank];
   }
   advance(rank);

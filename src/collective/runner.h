@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "collective/schedule.h"
@@ -10,6 +9,7 @@
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "transport/seq_window.h"
 #include "transport/transport_layer.h"
 
 namespace flowpulse::collective {
@@ -46,7 +46,8 @@ struct CollectiveConfig {
 /// pipelined-ring dependency structure: a rank launches its stage-k sends
 /// once every message addressed to it in stages < k has arrived. This
 /// reproduces synchronous data-parallel training traffic: identical demand
-/// every iteration, delimited by the flow_id iteration tag.
+/// every iteration, delimited by the flow_id iteration tag. Each rank runs
+/// on its own host (`hosts` holds no duplicates).
 class CollectiveRunner {
  public:
   /// (iteration index, start time, completion time)
@@ -72,6 +73,8 @@ class CollectiveRunner {
   [[nodiscard]] std::uint32_t completed_iterations() const { return completed_iterations_; }
   /// Schedule used by the iteration currently running (or the last one).
   [[nodiscard]] const CommSchedule& current_schedule() const { return schedule_; }
+  /// The job's configuration. Its `schedule` has moved into
+  /// current_schedule(), so the runner holds one copy.
   [[nodiscard]] const CollectiveConfig& config() const { return config_; }
 
   /// False if any validated iteration produced a wrong reduction result.
@@ -88,7 +91,12 @@ class CollectiveRunner {
     std::uint32_t dst_rank = 0;
     std::uint32_t chunk = 0;
     double value = 0.0;
+    bool live = false;  ///< false: delivered, or another job's message id
+    void reset() { live = false; }
   };
+  /// This job's undelivered messages from one rank to one destination host,
+  /// by transport message id (a per-(src, dst) sequence).
+  using PendingWindow = transport::SeqWindow<PendingMsg>;
 
   void begin_iteration(std::uint32_t iteration);
   void rank_start(std::uint32_t rank);
@@ -99,9 +107,6 @@ class CollectiveRunner {
   void validate_iteration();
   [[nodiscard]] net::FlowId flow_id_for(std::uint32_t iteration) const;
   [[nodiscard]] double original_value(std::uint32_t rank, std::uint32_t chunk) const;
-  [[nodiscard]] static std::uint64_t msg_key(net::HostId src, std::uint64_t msg_id) {
-    return (static_cast<std::uint64_t>(src.v()) << 40) ^ msg_id;
-  }
 
   sim::Simulator& sim_;
   transport::TransportLayer& transports_;
@@ -110,21 +115,25 @@ class CollectiveRunner {
 
   CommSchedule schedule_;  // schedule of the current iteration
   std::uint32_t ranks_ = 0;
+  std::vector<std::uint32_t> rank_of_host_;  // host id → rank, kNoRank if not in the job
 
   std::uint32_t iteration_ = 0;
   std::uint32_t completed_iterations_ = 0;
   sim::Time iteration_start_ = sim::Time::zero();
   bool running_ = false;
 
-  // Per-iteration progress.
-  std::vector<std::vector<std::uint32_t>> recv_remaining_;  // [stage][rank]
+  // Per-iteration progress, flat over [stage * ranks + rank].
+  std::vector<std::uint32_t> recv_remaining_;
+  // Per-rank stage index (CSR): the sends of `rank` in stage `k` are
+  // schedule_.stages[k].sends[send_order_[i]] for i in
+  // [launch_begin_[k * ranks + rank], launch_begin_[k * ranks + rank + 1]),
+  // in schedule order.
+  std::vector<std::uint32_t> launch_begin_;
+  std::vector<std::uint32_t> send_order_;
   std::vector<std::uint32_t> stages_clear_;  // rank → # leading stages fully received
   std::vector<std::uint32_t> next_stage_;    // rank → next stage to launch
   std::uint64_t total_recv_remaining_ = 0;
-  // detlint: ok(unordered): keyed emplace/find/erase only, never iterated
-  // (enforced by detlint's iteration rule); progress is driven by message
-  // arrival order, so hash order cannot reach results. Hot per-message path.
-  std::unordered_map<std::uint64_t, PendingMsg> pending_;
+  std::vector<transport::PeerTable<PendingWindow>> pending_;  // [src rank] by dst host
 
   // Data validation (one double per chunk is algebraically equivalent to a
   // full gradient vector for verifying the reduction structure).

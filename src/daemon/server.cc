@@ -23,6 +23,10 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+std::size_t unsent(const std::vector<std::uint8_t>& out, std::size_t off) {
+  return out.size() - off;
+}
+
 void log_errno(const char* what) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): only the kServerLoop thread
   // logs; the role capability (server.h) proves there is exactly one
@@ -111,7 +115,8 @@ void Server::request_stop() {
 
 void Server::update_interest(int fd, const Conn& conn) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (conn.out_off < conn.out.size() ? EPOLLOUT : 0u);
+  const std::size_t pending = unsent(conn.out, conn.out_off);
+  ev.events = (pending < kOutHighWater ? EPOLLIN : 0u) | (pending > 0 ? EPOLLOUT : 0u);
   ev.data.fd = fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
 }
@@ -175,11 +180,16 @@ bool Server::flush_out(int fd, Conn& conn) {
 bool Server::conn_readable(int fd) {
   Conn& conn = conns_.at(fd);
   std::uint8_t buf[64 * 1024];
-  for (;;) {
+  // One chunk at a time: answer it and push the replies out before reading
+  // more, so a client that stops reading stops being read (update_interest
+  // then keeps EPOLLIN off until it drains).
+  while (!conn.closing && unsent(conn.out, conn.out_off) < kOutHighWater) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n > 0) {
       engine_.stats().bytes_in += core::Bytes{static_cast<std::uint64_t>(n)};
       conn.in.feed({buf, static_cast<std::size_t>(n)});
+      answer_frames(conn);
+      if (!flush_out(fd, conn)) return false;
       if (n < static_cast<ssize_t>(sizeof(buf))) break;  // likely drained
       continue;
     }
@@ -192,7 +202,22 @@ bool Server::conn_readable(int fd) {
     close_conn(fd);
     return false;
   }
+  if (unsent(conn.out, conn.out_off) > kOutHardCap) {
+    close_conn(fd);
+    return false;
+  }
+  update_interest(fd, conn);
+  return true;
+}
 
+void Server::answer_frames(Conn& conn) {
+  // Drop the already-sent prefix once it outweighs the unsent tail, so a
+  // slowly-reading client cannot grow `out` past twice its unsent bytes.
+  if (conn.out_off > 0 && conn.out_off >= unsent(conn.out, conn.out_off)) {
+    const auto sent = static_cast<std::ptrdiff_t>(conn.out_off);
+    conn.out.erase(conn.out.begin(), conn.out.begin() + sent);
+    conn.out_off = 0;
+  }
   std::vector<std::uint8_t> frame;
   for (;;) {
     const FrameAssembler::Status st = conn.in.next(frame);
@@ -212,9 +237,6 @@ bool Server::conn_readable(int fd) {
       break;  // no frames are processed past a close
     }
   }
-  if (!flush_out(fd, conn)) return false;
-  update_interest(fd, conn);
-  return true;
 }
 
 int Server::run() {

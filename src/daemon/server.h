@@ -10,6 +10,7 @@
 // tools/detlint.py): fds, epoll and OS I/O are legitimate here and only
 // here — the simulation core stays deterministic.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -44,6 +45,15 @@ struct ServerConfig {
   int backlog = 128;
   int max_connections = 1024;
 };
+
+/// Output backpressure. A connection whose unsent replies reach the high-
+/// water mark is not read (EPOLLIN is disarmed) until the client drains it
+/// below; reading stops between 64 KiB chunks, so the replies to one chunk
+/// can overshoot the mark. A connection whose unsent replies exceed the hard
+/// cap anyway (requests whose replies dwarf them) is evicted. Both scale
+/// with the largest frame, so a single maximal reply always fits.
+inline constexpr std::size_t kOutHighWater = kMaxFramePayload;
+inline constexpr std::size_t kOutHardCap = 4 * std::size_t{kMaxFramePayload};
 
 class Server {
  public:
@@ -81,6 +91,8 @@ class Server {
   /// False if the connection died and was closed.
   bool conn_readable(int fd) FP_REQUIRES(kServerLoop);
   bool flush_out(int fd, Conn& conn) FP_REQUIRES(kServerLoop);
+  /// Answer every complete frame buffered in `conn.in` (up to a close).
+  void answer_frames(Conn& conn) FP_REQUIRES(kServerLoop);
   void close_conn(int fd) FP_REQUIRES(kServerLoop);
   void update_interest(int fd, const Conn& conn) FP_REQUIRES(kServerLoop);
 

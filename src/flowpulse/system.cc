@@ -52,6 +52,7 @@ void FlowPulseSystem::on_finalized(const IterationRecord& record) {
              "finalized");
   }
 #endif
+  if (record_hook_) record_hook_(record);
   if (config_.model == ModelKind::kLearned) {
     learned_outcomes_.push_back(LearnedOutcome{record.leaf, record.iteration,
                                                learned_[record.leaf.v()]->observe(record)});

@@ -86,6 +86,14 @@ class FlowPulseSystem {
   using AlertHook = std::function<void(const DetectionResult&)>;
   void set_alert_hook(AlertHook hook) { alert_hook_ = std::move(hook); }
 
+  /// Observer of every finalized record the system evaluates, in
+  /// evaluation order: monitor finalizes and ingest() alike, so it also sees
+  /// the hybrid/flow engine's fast-forwarded iterations, which never reach
+  /// monitor(l).history(). The exporter of a run's counter stream
+  /// (`flowpulse_cli --dump-counters`) subscribes here.
+  using RecordHook = std::function<void(const IterationRecord&)>;
+  void set_record_hook(RecordHook hook) { record_hook_ = std::move(hook); }
+
   /// Sharded-lane mode: monitors finalize on their own event lanes, so the
   /// eager per-finalize evaluation path would race on results_ and collect
   /// them in lane-scheduling order. With deferred evaluation on, finalize
@@ -150,6 +158,7 @@ class FlowPulseSystem {
   std::vector<std::unique_ptr<StreamingDetector>> streaming_;
   PredictionProvider provider_;
   AlertHook alert_hook_;
+  RecordHook record_hook_;
   std::vector<std::unique_ptr<LearnedModel>> learned_;
   std::vector<DetectionResult> results_;
   std::vector<LearnedOutcome> learned_outcomes_;

@@ -26,7 +26,9 @@ struct Packet {
   FlowId flow_id = 0;
   HostId src{};
   HostId dst{};
-  std::uint64_t msg_id = 0;  ///< unique per (src, message)
+  /// Transport message id: a per-(src, dst) sequence starting at 1, so
+  /// (src, dst, msg_id) names one message. Probes carry their own ids.
+  std::uint64_t msg_id = 0;
   core::Bytes msg_bytes{};       ///< total payload bytes of the message
   std::uint32_t total_segments = 0;  ///< segments the message was split into
   std::uint32_t seq = 0;     ///< segment index within the message

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/units.h"
@@ -12,6 +11,7 @@
 #include "sim/audit.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "transport/seq_window.h"
 
 namespace flowpulse::transport {
 
@@ -75,6 +75,13 @@ struct TransportStats {
 /// each one individually (selective ACK), and fire the message callback
 /// when the last hole fills. Stale RTO firings (segment already acked) are
 /// ignored rather than cancelled.
+///
+/// Message ids are a per-(src, dst) sequence starting at 1, so per-message
+/// state lives in per-peer windows sized by the messages in flight: a send
+/// retires once fully acked, and a receive once it and every earlier
+/// message from that peer completed (the peer's completion watermark).
+/// Anything below the watermark counts as complete: a late duplicate of it
+/// is acked with a full SACK bitmap.
 class Transport {
  public:
   using SendCompleteFn = std::function<void(std::uint64_t msg_id)>;
@@ -85,8 +92,9 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Begin sending; returns the message id. `on_complete` (optional) fires
-  /// when every segment has been acknowledged.
+  /// Begin sending; returns the message id (the next in this host's
+  /// sequence towards `spec.dst`). `on_complete` (optional) fires when every
+  /// segment has been acknowledged.
   std::uint64_t send_message(const MessageSpec& spec, SendCompleteFn on_complete = nullptr);
 
   /// Register a handler fired whenever a message addressed to this host
@@ -108,6 +116,12 @@ class Transport {
   /// Effective retransmission timeout: max(config floor, srtt + 4·rttvar).
   [[nodiscard]] sim::Time effective_rto() const;
 
+  /// Messages this host is sending that are not yet retired.
+  [[nodiscard]] std::size_t live_sends() const;
+  /// Messages addressed to this host that are held above a peer's
+  /// completion watermark (incomplete, or complete behind an incomplete one).
+  [[nodiscard]] std::size_t live_recvs() const;
+
 #if FP_AUDIT_ENABLED
   /// Test-only: re-fire the completion handlers of an already-delivered
   /// message, simulating a double-delivery bug so the negative-invariant
@@ -116,6 +130,15 @@ class Transport {
 #endif
 
  private:
+  /// First message id of every (src, dst) sequence.
+  static constexpr std::uint64_t kFirstMsgId = 1;
+
+  struct Segment {
+    sim::Time wire_time = sim::Time::zero();  ///< last wire departure
+    std::uint8_t attempts = 0;                ///< transmissions so far
+    bool acked = false;
+  };
+
   struct SendState {
     MessageSpec spec;
     std::uint64_t msg_id = 0;
@@ -123,52 +146,65 @@ class Transport {
     std::uint32_t next_unsent = 0;
     std::uint32_t acked = 0;
     std::uint32_t outstanding = 0;
-    std::vector<std::uint8_t> seg_acked;  // bool per segment
-    std::vector<std::uint8_t> attempts;   // transmissions so far per segment
-    std::vector<sim::Time> wire_time;     // last wire departure per segment
+    std::vector<Segment> segs;
     SendCompleteFn on_complete;
-    bool done = false;
+    bool done = true;
+    void reset() { done = true; }  // send_message fills every field
   };
 
+  /// A message from the peer at or above its completion watermark.
   struct RecvState {
-    std::uint64_t total_segments = 0;
-    std::uint64_t received = 0;
-    std::vector<std::uint8_t> got;
+    std::uint32_t total_segments = 0;
+    std::uint32_t received = 0;
+    std::vector<std::uint8_t> got;  ///< empty until the first segment arrives
     bool complete = false;
+    void reset() {
+      total_segments = 0;
+      received = 0;
+      got.clear();
+      complete = false;
+    }
+  };
+
 #if FP_AUDIT_ENABLED
-    std::uint32_t audit_deliveries = 0;  ///< recv-handler firings; must be exactly 1
-    net::HostId audit_src{};
-    net::FlowId audit_flow = 0;
-    core::Bytes audit_bytes{};
+  /// What the exactly-once invariant needs of a delivered message after its
+  /// receive state retired; kept for every message, in audit builds only.
+  struct AuditDelivery {
+    std::uint32_t deliveries = 0;  ///< recv-handler firings; must be exactly 1
+    net::FlowId flow = 0;
+    core::Bytes bytes{};
+  };
+#endif
+
+  struct Peer {
+    Peer() {
+      sends.rebase(kFirstMsgId);
+      recvs.rebase(kFirstMsgId);
+    }
+    SeqWindow<SendState> sends;  ///< to the peer: [oldest unretired, next id)
+    SeqWindow<RecvState> recvs;  ///< from the peer: base is the watermark
+#if FP_AUDIT_ENABLED
+    std::vector<AuditDelivery> audit;  ///< by msg_id - kFirstMsgId
 #endif
   };
 
   void pump(SendState& st);
   void transmit_segment(SendState& st, std::uint32_t seq);
   void on_wire(const net::Packet& p);
-  void on_rto(std::uint64_t msg_id, std::uint32_t seq, std::uint8_t attempt);
+  void on_rto(net::HostId dst, std::uint32_t msg_id_low, std::uint32_t seq, std::uint8_t attempt);
   void on_packet(const net::Packet& p);
   void on_data(const net::Packet& p);
   void on_ack(const net::Packet& p);
+  [[nodiscard]] SendState* find_send(net::HostId dst, std::uint64_t msg_id);
   [[nodiscard]] std::uint32_t segment_payload(const SendState& st, std::uint32_t seq) const;
-  [[nodiscard]] static std::uint64_t recv_key(net::HostId src, std::uint64_t msg_id) {
-    return (static_cast<std::uint64_t>(src.v()) << 40) ^ msg_id;
-  }
 
   sim::Simulator& sim_;
   net::Host& host_;
   TransportConfig config_;
   TransportStats stats_;
-  std::uint64_t next_msg_id_ = 1;
   sim::Time srtt_ = sim::Time::zero();
   sim::Time rttvar_ = sim::Time::zero();
-  // detlint: ok(unordered): keyed lookup/insert/erase only, never iterated
-  // (enforced by detlint's iteration rule), so hash order cannot reach
-  // results; kept unordered for the per-segment hot path.
-  std::unordered_map<std::uint64_t, SendState> sends_;
-  // detlint: ok(unordered): keyed lookup only, never iterated; hash order
-  // cannot affect delivery order, which is driven by packet arrival events.
-  std::unordered_map<std::uint64_t, RecvState> recvs_;
+  PeerTable<Peer> peers_;
   std::vector<RecvHandler> recv_handlers_;
   ProbeHandler probe_handler_;
 };

@@ -3,7 +3,10 @@
 // iteration tagging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "collective/demand_matrix.h"
 #include "collective/runner.h"
@@ -352,6 +355,177 @@ TEST(Runner, DynamicScheduleGeneratorRunsEveryIteration) {
   runner.start();
   rig.sim.run();
   EXPECT_TRUE(runner.finished());
+}
+
+TEST(Runner, TwoJobsOnTheSameHostsKeepTheirMessagesApart) {
+  // Rank 0 sends `first` to rank 1, waits for rank 1's reply, then sends a
+  // small message to rank 1. Job A's first message is large and still in
+  // flight when its second one launches; job B's first message on the same
+  // pair took the id in between, inside A's pending window.
+  auto schedule = [](core::Bytes first) {
+    CommSchedule s;
+    s.name = "two-on-one-pair";
+    s.kind = CollectiveKind::kAllToAll;
+    s.ranks = 2;
+    s.stages.resize(2);
+    s.stages[0].sends = {Send{0, 1, first, 0}, Send{1, 0, core::Bytes{1024}, 0}};
+    s.stages[1].sends = {Send{0, 1, core::Bytes{1024}, 0}};
+    s.total_bytes = first + core::Bytes{2048};
+    return s;
+  };
+  Rig rig;
+  // Messages delivered per flow id (job × iteration). Registered before the
+  // runners' handlers, so a message is counted before its runner sees it.
+  std::map<net::FlowId, int> delivered;
+  for (const net::HostId h : {net::HostId{0}, net::HostId{1}}) {
+    rig.transports.at(h).add_recv_handler(
+        [&delivered](const transport::RecvInfo& i) { ++delivered[i.flow_id]; });
+  }
+  CollectiveConfig a;
+  a.hosts = {net::HostId{0}, net::HostId{1}};
+  a.schedule = schedule(core::Bytes{256 * 1024});
+  a.iterations = 4;
+  CollectiveConfig b = a;
+  b.schedule = schedule(core::Bytes{1024});
+  b.job_id = 1;
+  b.priority = net::Priority::kBackground;
+  b.tag_flow = false;
+  CollectiveRunner ra{rig.sim, rig.transports, std::move(a)};
+  CollectiveRunner rb{rig.sim, rig.transports, std::move(b)};
+  // An iteration completes exactly when its job's last message arrives.
+  int checked = 0;
+  ra.add_iteration_hook([&](net::IterIndex it, Time, Time) {
+    EXPECT_EQ(delivered[net::flowid::make_collective(it, 0)], 3) << "job A iteration " << it;
+    ++checked;
+  });
+  rb.add_iteration_hook([&](net::IterIndex it, Time, Time) {
+    EXPECT_EQ(delivered[(net::FlowId{2} << 32) | it.v()], 3) << "job B iteration " << it;
+    ++checked;
+  });
+  ra.start();
+  rb.start();
+  rig.sim.run();
+  EXPECT_TRUE(ra.finished());
+  EXPECT_TRUE(rb.finished());
+  EXPECT_EQ(checked, 8);
+}
+
+// ---------------------------------------------------------------------------
+// Per-rank stage launch: a rank's sends leave in schedule order
+// ---------------------------------------------------------------------------
+
+/// Reorders every stage's sends round-robin by source rank (each rank's
+/// first send, then each rank's second, ...), reversed, so neighbouring
+/// sends of a stage come from different ranks.
+CommSchedule interleave_sources(CommSchedule sched) {
+  for (Stage& stage : sched.stages) {
+    std::vector<std::vector<Send>> by_src(sched.ranks);
+    for (const Send& s : stage.sends) by_src[s.src_rank].push_back(s);
+    stage.sends.clear();
+    for (std::size_t k = 0;; ++k) {
+      bool any = false;
+      for (const std::vector<Send>& list : by_src) {
+        if (k < list.size()) {
+          stage.sends.push_back(list[k]);
+          any = true;
+        }
+      }
+      if (!any) break;
+    }
+    std::reverse(stage.sends.begin(), stage.sends.end());
+  }
+  return sched;
+}
+
+/// Destination ranks of `rank`'s sends in schedule order, stage by stage.
+std::vector<std::uint32_t> schedule_order(const CommSchedule& sched, std::uint32_t rank) {
+  std::vector<std::uint32_t> dsts;
+  for (const Stage& stage : sched.stages) {
+    for (const Send& s : stage.sends) {
+      if (s.src_rank == rank) dsts.push_back(s.dst_rank);
+    }
+  }
+  return dsts;
+}
+
+/// Per iteration and host: the destination of every message's first data
+/// segment as it leaves the host's NIC. A NIC sends one class in queueing
+/// order, so this is the order the runner launched the messages in.
+struct LaunchLog {
+  LaunchLog(FatTree& net, std::uint32_t hosts) {
+    for (std::uint32_t h = 0; h < hosts; ++h) {
+      net.host(net::HostId{h}).nic().set_depart_hook([this, h, hosts](const net::Packet& p) {
+        if (p.kind != net::PacketKind::kData || p.seq != 0 || p.retx != 0) return;
+        const std::uint32_t iter = net::flowid::iteration_of(p.flow_id).v();
+        if (order.size() <= iter) order.resize(iter + 1, std::vector<std::vector<std::uint32_t>>(hosts));
+        order[iter][h].push_back(p.dst.v());
+      });
+    }
+  }
+  std::vector<std::vector<std::vector<std::uint32_t>>> order;  // [iteration][host]
+};
+
+TEST(RunnerLaunch, PerRankLaunchFollowsScheduleOrder) {
+  sim::Rng rng{5};
+  const std::vector<CommSchedule> schedules = {
+      interleave_sources(all_to_all_random(6, core::Bytes{1024}, core::Bytes{12 * 1024}, rng)),
+      interleave_sources(hierarchical_ring_all_reduce(3, 2, core::Bytes{96 * 1024})),
+      interleave_sources(ring_all_reduce(6, core::Bytes{96 * 1024})),
+  };
+  for (const CommSchedule& sched : schedules) {
+    Rig rig{6, 3};
+    CollectiveConfig cc = base_config(6, sched.total_bytes, 2);
+    cc.schedule = sched;
+    LaunchLog log{rig.net, 6};
+    CollectiveRunner runner{rig.sim, rig.transports, std::move(cc)};
+    runner.start();
+    rig.sim.run();
+    EXPECT_TRUE(runner.finished()) << sched.name;
+    EXPECT_TRUE(runner.data_valid()) << sched.name;
+    ASSERT_EQ(log.order.size(), 2u) << sched.name;
+    for (std::uint32_t iter = 0; iter < 2; ++iter) {
+      for (std::uint32_t r = 0; r < 6; ++r) {
+        EXPECT_EQ(log.order[iter][r], schedule_order(sched, r))
+            << sched.name << " iteration " << iter << " rank " << r;
+      }
+    }
+  }
+}
+
+TEST(RunnerLaunch, DynamicScheduleRebuildsTheIndexEveryIteration) {
+  Rig rig;
+  CollectiveConfig cc;
+  cc.hosts = {net::HostId{0}, net::HostId{1}, net::HostId{2}, net::HostId{3}};
+  cc.iterations = 5;
+  cc.validate_data = true;
+  cc.schedule_generator = [](std::uint32_t iteration, sim::Rng& rng) {
+    switch (iteration % 3) {
+      case 0:
+        return interleave_sources(
+            all_to_all_random(4, core::Bytes{1024}, core::Bytes{8192}, rng));
+      case 1:
+        return ring_all_reduce(4, core::Bytes{32 * 1024});
+      default:
+        return interleave_sources(hierarchical_ring_all_reduce(2, 2, core::Bytes{32 * 1024}));
+    }
+  };
+  LaunchLog log{rig.net, 4};
+  CollectiveRunner runner{rig.sim, rig.transports, std::move(cc)};
+  std::vector<CommSchedule> used;
+  runner.add_iteration_hook(
+      [&](net::IterIndex, Time, Time) { used.push_back(runner.current_schedule()); });
+  runner.start();
+  rig.sim.run();
+  EXPECT_TRUE(runner.finished());
+  EXPECT_TRUE(runner.data_valid());
+  ASSERT_EQ(used.size(), 5u);
+  ASSERT_EQ(log.order.size(), 5u);
+  for (std::uint32_t iter = 0; iter < 5; ++iter) {
+    for (std::uint32_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(log.order[iter][r], schedule_order(used[iter], r))
+          << used[iter].name << " iteration " << iter << " rank " << r;
+    }
+  }
 }
 
 class RingSizeTest : public ::testing::TestWithParam<std::uint32_t> {};

@@ -7,11 +7,19 @@
 //  * verdict determinism — the same recorded stream through 1, 2 and 4
 //    shard engines merges to byte-identical fabric verdicts, and a replayed
 //    simulator stream reproduces the in-simulator verdict exactly;
-//  * one socket smoke — a real epoll server on an ephemeral port, driven
-//    by the blocking client (the only test that touches fds).
+//  * socket smokes — a real epoll server on an ephemeral port, driven by
+//    the blocking client, plus one raw client that never reads (the only
+//    tests that touch fds).
+#include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -462,20 +470,22 @@ TEST(DaemonEngineTest, FuzzedFramesNeverCrashAndAlwaysReply) {
 // Verdict determinism: simulator equivalence and shard-merge byte identity.
 // ---------------------------------------------------------------------------
 
-/// Run a recorded-fault scenario and export its counter stream exactly the
-/// way `flowpulse_cli --dump-counters` does.
-CounterStream record_fault_stream(exp::Scenario& scenario,
-                                  const exp::ScenarioConfig& cfg) {
+/// Run `cfg` and export its counter stream exactly the way
+/// `flowpulse_cli --dump-counters` does: every record the detector
+/// evaluated, fast-forwarded iterations included. *in_sim receives the
+/// run's own verdict.
+CounterStream run_and_record(const exp::ScenarioConfig& cfg, FabricVerdict* in_sim) {
+  exp::Scenario scenario{cfg};
   CounterStream stream;
+  scenario.flowpulse().set_record_hook(
+      [&stream](const fp::IterationRecord& r) { stream.records.push_back(r); });
+  scenario.run();
+  *in_sim = compute_verdict(scenario.flowpulse().results());
   stream.hello.topo = cfg.fabric.shape;
   stream.hello.job = cfg.flowpulse.job;
   stream.hello.first_leaf = net::LeafId{0};
   stream.hello.leaf_count = cfg.fabric.shape.leaves;
   if (scenario.prediction() != nullptr) stream.prediction = *scenario.prediction();
-  for (std::uint32_t l = 0; l < cfg.fabric.shape.leaves; ++l) {
-    const auto& history = scenario.flowpulse().monitor(net::LeafId{l}).history();
-    stream.records.insert(stream.records.end(), history.begin(), history.end());
-  }
   sort_records(stream.records);
   return stream;
 }
@@ -529,21 +539,38 @@ FabricVerdict run_sharded(const CounterStream& stream, std::uint32_t shard_count
 
 TEST(DaemonVerdictTest, ReplayedStreamReproducesSimulatorVerdict) {
   const exp::ScenarioConfig cfg = fault_scenario_config();
-  exp::Scenario scenario{cfg};
-  scenario.run();
-  const FabricVerdict in_sim = compute_verdict(scenario.flowpulse().results());
+  FabricVerdict in_sim;
+  const CounterStream stream = run_and_record(cfg, &in_sim);
   ASSERT_TRUE(in_sim.flagged);
 
-  const CounterStream stream = record_fault_stream(scenario, cfg);
   const FabricVerdict replayed = run_sharded(stream, 1, cfg);
   EXPECT_EQ(replayed, in_sim);  // doubles and all — bit-exact replay
 }
 
+TEST(DaemonVerdictTest, FlowFidelityDumpHoldsEveryIterationAndReplays) {
+  // Flow fidelity fast-forwards every iteration through ingest(): none of
+  // them reach a monitor's history, yet all of them must be dumped.
+  exp::ScenarioConfig cfg = fault_scenario_config();
+  cfg.fidelity.mode = fp::FidelityMode::kFlow;
+  cfg.iterations = 12;
+  FabricVerdict in_sim;
+  const CounterStream recorded = run_and_record(cfg, &in_sim);
+  ASSERT_TRUE(in_sim.flagged);
+  EXPECT_EQ(recorded.records.size(), std::size_t{cfg.fabric.shape.leaves} * cfg.iterations);
+
+  const std::string path = testing::TempDir() + "fp_flow_fidelity.fpstream";
+  std::string err;
+  ASSERT_TRUE(write_stream_file(path, recorded, &err)) << err;
+  const auto stream = read_stream_file(path, &err);
+  ASSERT_TRUE(stream.has_value()) << err;
+  ASSERT_EQ(stream->records.size(), recorded.records.size());
+  EXPECT_EQ(run_sharded(*stream, 1, cfg), in_sim);
+}
+
 TEST(DaemonVerdictTest, ShardMergeIsByteIdenticalAcross1_2_4Shards) {
   const exp::ScenarioConfig cfg = fault_scenario_config();
-  exp::Scenario scenario{cfg};
-  scenario.run();
-  const CounterStream stream = record_fault_stream(scenario, cfg);
+  FabricVerdict in_sim;
+  const CounterStream stream = run_and_record(cfg, &in_sim);
 
   const FabricVerdict one = run_sharded(stream, 1, cfg);
   const FabricVerdict two = run_sharded(stream, 2, cfg);
@@ -651,6 +678,75 @@ TEST(DaemonSocketSmoke, HostileStreamGetsErrAndClose) {
   EXPECT_FALSE(client.recv_reply(payload, &err));
 
   server.request_stop();
+  loop.join();
+}
+
+TEST(DaemonSocketSmoke, NonReadingClientIsThrottledAndOthersStillServed) {
+  DaemonEngine engine{small_engine_config()};
+  ServerConfig sc;
+  sc.port = 0;
+  Server server{sc, engine};
+  ASSERT_TRUE(server.open());
+  std::thread loop{[&server] { EXPECT_EQ(server.run(), 0); }};
+
+  // A raw client that pipelines STATS and never reads a reply. Answered in
+  // full, 4 MiB of requests would leave ~90 MB of replies in the daemon.
+  const int flood = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(flood, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(flood, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::fcntl(flood, F_SETFL, ::fcntl(flood, F_GETFL, 0) | O_NONBLOCK), 0);
+  const std::vector<std::uint8_t> request = encode_simple(Op::kStats);
+  std::vector<std::uint8_t> batch;
+  for (int i = 0; i < 4096; ++i) batch.insert(batch.end(), request.begin(), request.end());
+  constexpr std::size_t kBudget = 4u << 20;
+  std::size_t sent = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (sent < kBudget &&
+         std::chrono::steady_clock::now() - last_progress < std::chrono::milliseconds(300)) {
+    const std::size_t off = sent % batch.size();  // whole frames, resumed mid-batch
+    const ssize_t n = ::send(flood, batch.data() + off, batch.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      last_progress = std::chrono::steady_clock::now();
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  // Another client is still served while the flood is throttled. It polls
+  // STATS until the daemon holds the mark's worth of flood replies and has
+  // stopped answering the flood.
+  Client other;
+  std::string err;
+  ASSERT_TRUE(other.connect_to("127.0.0.1", server.port(), &err)) << err;
+  const std::uint64_t reply = encode_stats_reply(StatsSnapshot{}).size();
+  std::optional<StatsSnapshot> stats;
+  std::uint64_t answered = 0;  // flood frames the daemon has answered
+  std::uint64_t held = 0;      // their replies it has not sent yet
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (std::uint64_t polls = 1, last = ~std::uint64_t{0};; ++polls, last = answered) {
+    stats = other.stats(&err);
+    ASSERT_TRUE(stats.has_value()) << err;
+    answered = stats->frames_in - polls;
+    // Every byte sent so far went to the flood, bar the earlier polls' replies.
+    held = answered * reply - (stats->bytes_out.v() - (polls - 1) * reply);
+    if ((held >= kOutHighWater && answered == last) ||
+        std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  EXPECT_EQ(stats->connections_open, 2u);      // throttled, not evicted
+  EXPECT_LT(answered * request.size(), sent);  // the daemon stopped reading
+  EXPECT_GE(held, kOutHighWater);
+  EXPECT_LE(held, kOutHardCap);
+
+  ::close(flood);
+  EXPECT_TRUE(other.shutdown_server(&err)) << err;
   loop.join();
 }
 

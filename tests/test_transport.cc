@@ -2,6 +2,7 @@
 // under injected loss, windowing, and multi-message behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/strong_id.h"
@@ -247,6 +248,142 @@ TEST(Transport, GilbertElliottBurstLossRecovered) {
   rig.sim.run();
   EXPECT_EQ(done, 1);
   EXPECT_GT(rig.transports.at(net::HostId{0}).stats().retx_packets_sent, 0u);
+}
+
+// Per-message state is sized by the messages in flight: message ids are a
+// per-(src, dst) sequence, a send retires once fully acked, and a receive
+// once it and every earlier message from that peer completed.
+
+TEST(TransportState, LiveStateReturnsToZeroOnceEverythingCompletes) {
+  Rig rig{tiny()};
+  // Loss on one path forces retransmissions, late ACKs and duplicates.
+  rig.net.set_link_fault(net::LeafId{0}, net::UplinkIndex{1}, net::FaultSpec::random_drop(0.2));
+  int done = 0;
+  for (const net::HostId h : core::ids<net::HostId>(4)) {
+    rig.transports.at(h).add_recv_handler([&](const RecvInfo&) { ++done; });
+  }
+  int expected = 0;
+  for (int round = 0; round < 8; ++round) {
+    for (const net::HostId src : core::ids<net::HostId>(4)) {
+      const net::HostId dst{(src.v() + 1 + round % 3) % 4};
+      rig.transports.at(src).send_message(
+          MessageSpec{dst, core::Bytes{4096u * (1 + round)}, 0x20, net::Priority::kCollective});
+      ++expected;
+    }
+  }
+  EXPECT_GT(rig.transports.at(net::HostId{0}).live_sends(), 0u);
+  rig.sim.run();
+  EXPECT_EQ(done, expected);
+  EXPECT_GT(rig.transports.total_stats().retx_packets_sent, 0u);
+  for (const net::HostId h : core::ids<net::HostId>(4)) {
+    EXPECT_EQ(rig.transports.at(h).live_sends(), 0u) << "host " << h;
+    EXPECT_EQ(rig.transports.at(h).live_recvs(), 0u) << "host " << h;
+  }
+}
+
+TEST(TransportState, ManyMessagesToOnePeerCompleteOutOfOrder) {
+  Rig rig{tiny()};
+  rig.net.set_link_fault(net::LeafId{0}, net::UplinkIndex{0}, net::FaultSpec::random_drop(0.05));
+  std::vector<std::uint64_t> delivered;
+  rig.transports.at(net::HostId{2}).add_recv_handler(
+      [&](const RecvInfo& i) { delivered.push_back(i.msg_id); });
+  // A large message first, then small ones that overtake it.
+  Transport& tx = rig.transports.at(net::HostId{0});
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint64_t> acked;
+  ids.push_back(tx.send_message(
+      MessageSpec{net::HostId{2}, core::Bytes{1 << 20}, 0x21, net::Priority::kCollective},
+      [&](std::uint64_t id) { acked.push_back(id); }));
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(tx.send_message(
+        MessageSpec{net::HostId{2}, core::Bytes{1000u + 100u * i}, 0x21, net::Priority::kCollective},
+        [&](std::uint64_t id) { acked.push_back(id); }));
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], ids[0] + i);  // one sequence
+  // Stale RTOs and late duplicates keep firing until the queue empties.
+  rig.sim.run();
+  ASSERT_EQ(delivered.size(), ids.size());
+  EXPECT_FALSE(std::is_sorted(delivered.begin(), delivered.end()));  // out of order
+  std::vector<std::uint64_t> sorted = delivered;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, ids);  // each exactly once
+  std::sort(acked.begin(), acked.end());
+  EXPECT_EQ(acked, ids);
+  EXPECT_EQ(tx.live_sends(), 0u);
+  EXPECT_EQ(rig.transports.at(net::HostId{2}).live_recvs(), 0u);
+}
+
+TEST(TransportState, LateDuplicateAfterRetirementIsAckedWithFullBitmap) {
+  Rig rig{tiny()};
+  int done = 0;
+  Transport& rx = rig.transports.at(net::HostId{2});
+  rx.add_recv_handler([&](const RecvInfo&) { ++done; });
+  const core::Bytes bytes{10 * 4096};
+  const std::uint64_t id = rig.transports.at(net::HostId{0}).send_message(
+      MessageSpec{net::HostId{2}, bytes, 0x22, net::Priority::kCollective});
+  rig.sim.run();
+  ASSERT_EQ(done, 1);
+  ASSERT_EQ(rx.live_recvs(), 0u);  // retired below the watermark
+  const std::uint64_t dups = rx.stats().duplicate_data_received;
+
+  std::vector<net::Packet> acks;
+  rig.net.host(net::HostId{2}).nic().set_depart_hook([&](const net::Packet& p) {
+    if (p.kind == net::PacketKind::kAck) acks.push_back(p);
+  });
+  net::Packet late;
+  late.kind = net::PacketKind::kData;
+  late.src = net::HostId{0};
+  late.dst = net::HostId{2};
+  late.flow_id = 0x22;
+  late.msg_id = id;
+  late.msg_bytes = bytes;
+  late.total_segments = 10;
+  late.seq = 9;
+  late.retx = 1;
+  late.size_bytes = core::Bytes{4096} + net::kHeaderBytes;
+  rig.net.host(net::HostId{2}).receive(late, net::PortIndex{0});
+  rig.sim.run();
+
+  EXPECT_EQ(done, 1);  // not delivered again
+  EXPECT_EQ(rx.stats().duplicate_data_received, dups + 1);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].msg_id, id);
+  EXPECT_EQ(acks[0].seq, 9u);
+  EXPECT_EQ(acks[0].ack_bitmap, 0x1FFu);  // segments 0..8 also held
+  EXPECT_EQ(rx.live_recvs(), 0u);
+  EXPECT_EQ(rig.transports.at(net::HostId{0}).live_sends(), 0u);  // late ACK ignored
+}
+
+TEST(TransportState, TwoJobsInterleaveOnOneHostPair) {
+  Rig rig{tiny()};
+  rig.net.set_link_fault(net::LeafId{1}, net::UplinkIndex{0}, net::FaultSpec::random_drop(0.1));
+  std::vector<RecvInfo> got;
+  rig.transports.at(net::HostId{3}).add_recv_handler([&](const RecvInfo& i) { got.push_back(i); });
+  Transport& tx = rig.transports.at(net::HostId{1});
+  // Job A (flow 0xA) and job B (flow 0xB) alternate on host 1 → host 3
+  // and share its message-id sequence.
+  std::vector<std::uint64_t> ids_a;
+  std::vector<std::uint64_t> ids_b;
+  for (int i = 0; i < 12; ++i) {
+    ids_a.push_back(tx.send_message(
+        MessageSpec{net::HostId{3}, core::Bytes{8192u * (1 + i % 3)}, 0xA, net::Priority::kCollective}));
+    ids_b.push_back(tx.send_message(
+        MessageSpec{net::HostId{3}, core::Bytes{2048}, 0xB, net::Priority::kBackground}));
+  }
+  rig.sim.run();
+  ASSERT_EQ(got.size(), 24u);
+  std::vector<std::uint64_t> seen_a;
+  std::vector<std::uint64_t> seen_b;
+  for (const RecvInfo& i : got) {
+    EXPECT_EQ(i.src, net::HostId{1});
+    (i.flow_id == 0xA ? seen_a : seen_b).push_back(i.msg_id);
+  }
+  std::sort(seen_a.begin(), seen_a.end());
+  std::sort(seen_b.begin(), seen_b.end());
+  EXPECT_EQ(seen_a, ids_a);
+  EXPECT_EQ(seen_b, ids_b);
+  EXPECT_EQ(tx.live_sends(), 0u);
+  EXPECT_EQ(rig.transports.at(net::HostId{3}).live_recvs(), 0u);
 }
 
 class TransportDropRateTest : public ::testing::TestWithParam<double> {};
