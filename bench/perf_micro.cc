@@ -41,6 +41,48 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1 << 14)->Arg(1 << 17);
 
+/// The packet path's event mix in miniature: each chain stands for a packet
+/// hopping through the fabric and cycles through fixed delays (MTU
+/// serialization, ACK serialization, propagation), so those events ride the
+/// queue's delay lines; one hop in eight also arms an RTO-like timer with a
+/// random delay, which takes the heap.
+struct PacketMixChains {
+  static constexpr sim::Time kFixed[] = {sim::Time::picoseconds(81'920),
+                                         sim::Time::picoseconds(1'280),
+                                         sim::Time::nanoseconds(600)};
+  sim::Simulator sim{1};
+  std::int64_t hops_left = 0;
+  std::int64_t timers = 0;
+
+  void hop(std::uint32_t k) {
+    if (--hops_left < 0) return;
+    if ((sim.rng().next_u64() & 7) == 0) {
+      sim.schedule_in(sim::Time::nanoseconds(5'000 + static_cast<std::int64_t>(
+                                                          sim.rng().next_below(45'000))),
+                      [this] { ++timers; });
+    }
+    sim.schedule_in(kFixed[k % 3], [this, k] { hop(k + 1); });
+  }
+};
+
+void BM_EventQueuePacketMix(benchmark::State& state) {
+  const std::int64_t chains = state.range(0);
+  constexpr std::int64_t kHopsPerChain = 64;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    PacketMixChains d;
+    d.hops_left = chains * kHopsPerChain;
+    for (std::int64_t c = 0; c < chains; ++c) d.hop(static_cast<std::uint32_t>(c));
+    d.sim.run();
+    benchmark::DoNotOptimize(d.timers);
+    events += d.sim.events_executed();
+    state.counters["heap_share"] = static_cast<double>(d.sim.heap_pushes()) /
+                                   static_cast<double>(d.sim.events_scheduled());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueuePacketMix)->Arg(1 << 10)->Arg(1 << 13);
+
 void BM_RngU64(benchmark::State& state) {
   sim::Rng rng{42};
   for (auto _ : state) benchmark::DoNotOptimize(rng.next_u64());

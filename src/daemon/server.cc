@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -113,10 +114,16 @@ void Server::request_stop() {
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
-void Server::update_interest(int fd, const Conn& conn) {
+void Server::update_interest(int fd, Conn& conn) {
   epoll_event ev{};
   const std::size_t pending = unsent(conn.out, conn.out_off);
-  ev.events = (pending < kOutHighWater ? EPOLLIN : 0u) | (pending > 0 ? EPOLLOUT : 0u);
+  const bool pause = pending >= kOutHighWater;
+  if (pause != conn.paused) {
+    conn.paused = pause;
+    paused_conns_ += pause ? 1 : -1;
+    if (pause) conn.stalled_since = std::chrono::steady_clock::now();
+  }
+  ev.events = (pause ? 0u : EPOLLIN) | (pending > 0 ? EPOLLOUT : 0u);
   ev.data.fd = fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
 }
@@ -150,7 +157,9 @@ void Server::accept_ready() {
 void Server::close_conn(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  conns_.erase(fd);
+  const auto it = conns_.find(fd);
+  if (it->second.paused) --paused_conns_;
+  conns_.erase(it);
   --engine_.stats().connections_open;
 }
 
@@ -161,6 +170,7 @@ bool Server::flush_out(int fd, Conn& conn) {
     if (n > 0) {
       conn.out_off += static_cast<std::size_t>(n);
       engine_.stats().bytes_out += core::Bytes{static_cast<std::uint64_t>(n)};
+      if (conn.paused) conn.stalled_since = std::chrono::steady_clock::now();
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
@@ -239,6 +249,25 @@ void Server::answer_frames(Conn& conn) {
   }
 }
 
+int Server::evict_stalled() {
+  const auto now = std::chrono::steady_clock::now();
+  auto next = std::chrono::steady_clock::duration::max();
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const int fd = it->first;
+    const Conn& conn = it->second;
+    ++it;  // close_conn erases
+    if (!conn.paused) continue;
+    const auto left = conn.stalled_since + kOutStallTimeout - now;
+    if (left <= std::chrono::steady_clock::duration::zero()) {
+      close_conn(fd);
+    } else {
+      next = std::min(next, left);
+    }
+  }
+  if (paused_conns_ == 0) return -1;
+  return static_cast<int>(std::chrono::ceil<std::chrono::milliseconds>(next).count());
+}
+
 int Server::run() {
   // The calling thread becomes THE event-loop thread for the lifetime of
   // this frame; every FP_REQUIRES(kServerLoop) method below is reachable
@@ -247,7 +276,10 @@ int Server::run() {
   if (epoll_fd_ < 0) return 1;
   epoll_event events[128];
   while (!stop_requested_) {
-    const int n = ::epoll_wait(epoll_fd_, events, 128, -1);
+    // A finite timeout only while some connection is paused: that is when
+    // a stalled one may come due for eviction.
+    const int timeout = paused_conns_ > 0 ? evict_stalled() : -1;
+    const int n = ::epoll_wait(epoll_fd_, events, 128, timeout);
     if (n < 0) {
       if (errno == EINTR) continue;
       log_errno("epoll_wait");

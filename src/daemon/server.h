@@ -10,6 +10,7 @@
 // tools/detlint.py): fds, epoll and OS I/O are legitimate here and only
 // here — the simulation core stays deterministic.
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -54,6 +55,11 @@ struct ServerConfig {
 /// with the largest frame, so a single maximal reply always fits.
 inline constexpr std::size_t kOutHighWater = kMaxFramePayload;
 inline constexpr std::size_t kOutHardCap = 4 * std::size_t{kMaxFramePayload};
+/// A paused connection (EPOLLIN disarmed at the high-water mark) whose
+/// replies make no progress for this long is evicted: a client that stops
+/// reading would otherwise pin kOutHighWater of replies for as long as it
+/// stays connected. Any sent byte restarts the clock.
+inline constexpr std::chrono::seconds kOutStallTimeout{5};
 
 class Server {
  public:
@@ -85,6 +91,9 @@ class Server {
     std::vector<std::uint8_t> out;
     std::size_t out_off = 0;
     bool closing = false;  ///< close once `out` drains
+    bool paused = false;   ///< EPOLLIN disarmed: unsent replies >= kOutHighWater
+    /// While paused: when the pause began or a reply byte was last sent.
+    std::chrono::steady_clock::time_point stalled_since{};
   };
 
   void accept_ready() FP_REQUIRES(kServerLoop);
@@ -94,7 +103,11 @@ class Server {
   /// Answer every complete frame buffered in `conn.in` (up to a close).
   void answer_frames(Conn& conn) FP_REQUIRES(kServerLoop);
   void close_conn(int fd) FP_REQUIRES(kServerLoop);
-  void update_interest(int fd, const Conn& conn) FP_REQUIRES(kServerLoop);
+  void update_interest(int fd, Conn& conn) FP_REQUIRES(kServerLoop);
+  /// Evict paused connections stalled for kOutStallTimeout; returns the
+  /// epoll_wait timeout (ms) until the next one could be, -1 if none is
+  /// paused.
+  int evict_stalled() FP_REQUIRES(kServerLoop);
 
   ServerConfig config_;
   /// Mutated on every frame (stats, detection state) — loop-owned like the
@@ -110,6 +123,7 @@ class Server {
   std::uint16_t bound_port_ = 0;
   bool stop_requested_ FP_GUARDED_BY(kServerLoop) = false;
   std::map<int, Conn> conns_ FP_GUARDED_BY(kServerLoop);
+  int paused_conns_ FP_GUARDED_BY(kServerLoop) = 0;
 };
 
 }  // namespace flowpulse::daemon

@@ -49,7 +49,7 @@ void EgressPort::try_start() {
     queued_bytes_total_ -= in_flight_.size_bytes;
     transmitting_ = true;
     if (depart_hook_) depart_hook_(in_flight_);
-      sim_.schedule_in(core::serialization_time(in_flight_.size_bytes, params_.bandwidth),
+    sim_.schedule_in(core::serialization_time(in_flight_.size_bytes, params_.bandwidth),
                      [this] { finish_transmission(); });
     return;
   }

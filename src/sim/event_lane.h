@@ -86,7 +86,7 @@ class EventLane {
   }
 
   /// Pre-size the event heap for an expected number of simultaneously
-  /// pending events (see EventQueue::reserve).
+  /// pending heap events (see EventQueue::reserve).
   void reserve_events(std::size_t n) { queue_.reserve(n); }
 
   /// Run until the event queue drains or `stop()` is called.
@@ -121,6 +121,9 @@ class EventLane {
   [[nodiscard]] std::uint64_t events_executed() const { return events_executed_; }
   [[nodiscard]] std::uint64_t fast_forwards() const { return fast_forwards_; }
   [[nodiscard]] std::uint64_t events_scheduled() const { return queue_.scheduled_total(); }
+  /// Scheduled events that went onto the binary heap rather than a delay
+  /// line (see EventQueue); the rest of events_scheduled() cost O(1) each.
+  [[nodiscard]] std::uint64_t heap_pushes() const { return queue_.heap_pushes(); }
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
   // -------------------------------------------------------------------------

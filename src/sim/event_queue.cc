@@ -1,12 +1,58 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
 namespace flowpulse::sim {
 
 void EventQueue::schedule(Time at, Time sched, std::uint32_t src, EventFn fn) {
-  push(HeapEntry{at, sched, pack_provenance(src, next_seq_++), std::move(fn)});
+  HeapEntry entry{at, sched, pack_provenance(src, next_seq_++), std::move(fn)};
+  const Time delay = at - sched;
+  std::size_t line = kDelayLines;
+  for (std::size_t i = 0; i < kDelayLines; ++i) {
+    if (line_delay_[i] == delay) {
+      line = i;
+      break;
+    }
+  }
+  const std::uint32_t idle = ~live_ & ((1u << kDelayLines) - 1);
+  if (line == kDelayLines && idle != 0) {
+    // A delay claims an idle line only if it recently missed one: a one-off
+    // delay (a timer with a random backoff) would hold the line until it
+    // fires, while a fixed one it locks out sends its every event here.
+    const bool recurring = std::find(missed_.begin(), missed_.end(), delay) != missed_.end();
+    if (recurring) {
+      line = static_cast<std::size_t>(std::countr_zero(idle));
+    } else {
+      missed_[missed_next_] = delay;
+      missed_next_ = (missed_next_ + 1) % missed_.size();
+    }
+  }
+  if (line != kDelayLines) {
+    DelayLine& l = lines_[line];
+    if (l.count == 0) {
+      // An empty line holds (or takes) this delay; its only entry may be
+      // the new earliest one.
+      const bool earliest = size_ == 0 || earlier(entry, front());
+      line_delay_[line] = delay;
+      l.push_back(std::move(entry));
+      live_ |= 1u << line;
+      if (earliest) front_ = line;
+      ++size_;
+      return;
+    }
+    // The guard that keeps every line sorted: an entry sorting before the
+    // line's last one (a caller whose sched went backwards) takes the heap.
+    // One that does not sorts after the line's front, so front_ stands.
+    if (!earlier(entry, l.back())) {
+      l.push_back(std::move(entry));
+      ++size_;
+      return;
+    }
+  }
+  push(std::move(entry));
 }
 
 void EventQueue::schedule_imported(Time at, Time sched, std::uint32_t src, std::uint64_t seq,
@@ -15,7 +61,36 @@ void EventQueue::schedule_imported(Time at, Time sched, std::uint32_t src, std::
   push(HeapEntry{at, sched, pack_provenance(src, seq), std::move(fn)});
 }
 
+void EventQueue::DelayLine::push_back(HeapEntry&& e) {
+  if (count == ring.size()) {
+    std::vector<HeapEntry> bigger(std::max<std::size_t>(16, 2 * ring.size()));
+    for (std::size_t i = 0; i < count; ++i) {
+      bigger[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+    }
+    ring = std::move(bigger);
+    head = 0;
+  }
+  ring[(head + count) & (ring.size() - 1)] = std::move(e);
+  ++count;
+}
+
+void EventQueue::find_front() {
+  const HeapEntry* best = heap_.empty() ? nullptr : &heap_.front();
+  front_ = kHeapFront;
+  for (std::uint32_t live = live_; live != 0; live &= live - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(live));
+    const DelayLine& l = lines_[i];
+    if (best == nullptr || earlier(l.front(), *best)) {
+      best = &l.front();
+      front_ = i;
+    }
+  }
+}
+
 void EventQueue::push(HeapEntry entry) {
+  ++heap_pushes_;
+  const bool earliest = size_ == 0 || earlier(entry, front());
+  ++size_;
   std::size_t i = heap_.size();
   heap_.emplace_back();  // open a hole at the end; default EventFn is empty
   // Hole-based sift-up: shift later parents down into the hole (one move
@@ -30,14 +105,26 @@ void EventQueue::push(HeapEntry entry) {
     i = parent;
   }
   heap_[i] = std::move(entry);
+  if (earliest) front_ = kHeapFront;
 }
 
 EventQueue::Event EventQueue::pop() {
-  assert(!heap_.empty());
-  Event ev{heap_.front().at, heap_.front().prov, std::move(heap_.front().fn)};
-  HeapEntry last = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down_from(0, std::move(last));
+  assert(size_ > 0);
+  Event ev;
+  if (front_ == kHeapFront) {
+    ev = Event{heap_.front().at, heap_.front().prov, std::move(heap_.front().fn)};
+    HeapEntry last = std::move(heap_.back());
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down_from(0, std::move(last));
+  } else {
+    DelayLine& l = lines_[front_];
+    HeapEntry& e = l.front();
+    ev = Event{e.at, e.prov, std::move(e.fn)};
+    l.head = (l.head + 1) & (l.ring.size() - 1);
+    if (--l.count == 0) live_ &= ~(1u << front_);
+  }
+  --size_;
+  find_front();
   return ev;
 }
 

@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -744,6 +745,141 @@ TEST(DaemonSocketSmoke, NonReadingClientIsThrottledAndOthersStillServed) {
   EXPECT_LT(answered * request.size(), sent);  // the daemon stopped reading
   EXPECT_GE(held, kOutHighWater);
   EXPECT_LE(held, kOutHardCap);
+
+  ::close(flood);
+  EXPECT_TRUE(other.shutdown_server(&err)) << err;
+  loop.join();
+}
+
+/// A raw client that pipelines STATS requests and reads no reply: it sends
+/// whole frames until `budget` bytes are out or the daemon has taken none
+/// for 300 ms. Returns the non-blocking socket.
+int open_stats_flood(std::uint16_t port, std::size_t budget, std::size_t* sent) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  const std::vector<std::uint8_t> request = encode_simple(Op::kStats);
+  std::vector<std::uint8_t> batch;
+  for (int i = 0; i < 4096; ++i) batch.insert(batch.end(), request.begin(), request.end());
+  *sent = 0;
+  auto last_progress = std::chrono::steady_clock::now();
+  while (*sent < budget &&
+         std::chrono::steady_clock::now() - last_progress < std::chrono::milliseconds(300)) {
+    const std::size_t off = *sent % batch.size();
+    const ssize_t n = ::send(fd, batch.data() + off, batch.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      *sent += static_cast<std::size_t>(n);
+      last_progress = std::chrono::steady_clock::now();
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return fd;
+}
+
+/// Polls STATS over `other` (which must send nothing else) until the daemon
+/// holds at least the high-water mark of replies for a flood that is its
+/// only other client and has stopped answering it: the flood is paused.
+/// Returns the last snapshot, or nullopt on a client error or after 30 s.
+std::optional<StatsSnapshot> wait_until_flood_paused(Client& other) {
+  const std::uint64_t reply = encode_stats_reply(StatsSnapshot{}).size();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::string err;
+  for (std::uint64_t polls = 1, last = ~std::uint64_t{0};; ++polls) {
+    std::optional<StatsSnapshot> stats = other.stats(&err);
+    if (!stats.has_value() || std::chrono::steady_clock::now() > deadline) return std::nullopt;
+    const std::uint64_t answered = stats->frames_in - polls;
+    const std::uint64_t held = answered * reply - (stats->bytes_out.v() - (polls - 1) * reply);
+    if (held >= kOutHighWater && answered == last) return stats;
+    last = answered;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+}
+
+TEST(DaemonSocketSmoke, StalledNonReadingClientIsEvicted) {
+  DaemonEngine engine{small_engine_config()};
+  ServerConfig sc;
+  sc.port = 0;
+  Server server{sc, engine};
+  ASSERT_TRUE(server.open());
+  std::thread loop{[&server] { EXPECT_EQ(server.run(), 0); }};
+
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t sent = 0;
+  const int flood = open_stats_flood(server.port(), 4u << 20, &sent);
+  ASSERT_GE(flood, 0);
+  Client other;
+  std::string err;
+  ASSERT_TRUE(other.connect_to("127.0.0.1", server.port(), &err)) << err;
+  std::optional<StatsSnapshot> stats = wait_until_flood_paused(other);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->connections_open, 2u);  // paused, not yet evicted
+
+  // The flood never reads, so its replies make no progress: the daemon
+  // drops it once the stall time has passed, and not before.
+  const auto deadline = std::chrono::steady_clock::now() + kOutStallTimeout + std::chrono::seconds(20);
+  while (stats->connections_open == 2u && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    stats = other.stats(&err);
+    ASSERT_TRUE(stats.has_value()) << err;
+  }
+  EXPECT_EQ(stats->connections_open, 1u);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kOutStallTimeout);
+
+  ::close(flood);
+  EXPECT_TRUE(other.shutdown_server(&err)) << err;
+  loop.join();
+}
+
+TEST(DaemonSocketSmoke, PausedClientThatResumesReadingIsKept) {
+  DaemonEngine engine{small_engine_config()};
+  ServerConfig sc;
+  sc.port = 0;
+  Server server{sc, engine};
+  ASSERT_TRUE(server.open());
+  std::thread loop{[&server] { EXPECT_EQ(server.run(), 0); }};
+
+  std::size_t sent = 0;
+  const int flood = open_stats_flood(server.port(), 1u << 20, &sent);
+  ASSERT_GE(flood, 0);
+  Client other;
+  std::string err;
+  ASSERT_TRUE(other.connect_to("127.0.0.1", server.port(), &err)) << err;
+  ASSERT_TRUE(wait_until_flood_paused(other).has_value());
+
+  // Stay paused for half the stall time, then read every reply owed.
+  std::this_thread::sleep_for(kOutStallTimeout / 2);
+  const std::size_t request = encode_simple(Op::kStats).size();
+  const std::size_t reply = encode_stats_reply(StatsSnapshot{}).size();
+  const std::size_t owed = sent / request * reply;
+  std::vector<std::uint8_t> buf(1u << 20);
+  std::size_t got = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (got < owed && std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::recv(flood, buf.data(), buf.size(), 0);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else {
+      ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) << "flood connection closed";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_EQ(got, owed);
+
+  // Well past the stall time, the drained (so no longer paused) client is
+  // kept.
+  std::this_thread::sleep_for(kOutStallTimeout + std::chrono::seconds(1));
+  const std::optional<StatsSnapshot> stats = other.stats(&err);
+  ASSERT_TRUE(stats.has_value()) << err;
+  EXPECT_EQ(stats->connections_open, 2u);
 
   ::close(flood);
   EXPECT_TRUE(other.shutdown_server(&err)) << err;

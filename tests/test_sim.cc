@@ -2,7 +2,11 @@
 // ordering, determinism of the RNG streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -144,6 +148,90 @@ TEST(EventQueue, PopReturnsEarliest) {
   EXPECT_EQ(q.pop().at, Time::nanoseconds(5));
   EXPECT_EQ(q.pop().at, Time::nanoseconds(50));
   EXPECT_TRUE(q.empty());
+}
+
+// Differential check of the delay lines against a reference that sorts by
+// the full key (at, sched, prov). The mix covers what the hot path sends
+// (a few fixed delays, sched == now), what it never sends but direct callers
+// may (repeated and decreasing sched, which must trip the append guard),
+// random delays, imported entries with foreign provenance, and more delays
+// than lines, re-drawn every phase so lines drain and take new delays.
+TEST(EventQueue, DelayLinesPopInFullKeyOrder) {
+  using Key = std::tuple<std::int64_t, std::int64_t, std::uint64_t, int>;  // at, sched, prov, id
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng{seed};
+    EventQueue q;
+    std::set<Key> ref;
+    int fired = -1;
+    int next_id = 0;
+    std::int64_t now = 0;
+    std::int64_t last_sched = 0;
+    std::uint64_t scheduled = 0;  // mirrors the queue's local seq counter
+    std::uint64_t imports = 0;
+    std::uint64_t import_seq[4] = {};
+    std::vector<std::int64_t> delays(10);
+    const auto pop_and_check = [&] {
+      ASSERT_FALSE(ref.empty());
+      const Key want = *ref.begin();
+      ref.erase(ref.begin());
+      ASSERT_EQ(q.next_time().ps(), std::get<0>(want));
+      EventQueue::Event ev = q.pop();
+      ev.fn();
+      ASSERT_EQ(ev.at.ps(), std::get<0>(want));
+      ASSERT_EQ(ev.seq, std::get<2>(want));
+      ASSERT_EQ(fired, std::get<3>(want));
+      now = std::max(now, ev.at.ps());
+    };
+    for (int step = 0; step < 30'000; ++step) {
+      if (step % 2'000 == 0) {
+        for (std::int64_t& d : delays) d = 1'000 * static_cast<std::int64_t>(1 + rng.next_below(24));
+      }
+      // A bounded backlog lets lines drain, so new phases' delays get lines.
+      if (ref.size() > 64 || (!ref.empty() && rng.next_below(100) < 45)) {
+        pop_and_check();
+        if (HasFatalFailure()) return;
+        continue;
+      }
+      // Schedule instant: mostly now, sometimes the last one again (after
+      // pops it may lag now), sometimes earlier than both.
+      std::int64_t sched = now;
+      const std::uint64_t s = rng.next_below(100);
+      if (s < 10) sched = last_sched;
+      else if (s < 20) sched = std::max<std::int64_t>(0, now - static_cast<std::int64_t>(rng.next_below(8'000)));
+      last_sched = sched;
+      const std::uint64_t kind = rng.next_below(100);
+      // Half the fixed-delay picks favor a few delays, as the hot path does.
+      const std::int64_t delay =
+          kind < 40   ? delays[rng.next_below(3)]
+          : kind < 75 ? delays[rng.next_below(delays.size())]
+                      : static_cast<std::int64_t>(rng.next_below(30'000));
+      const int id = next_id++;
+      const Time at = Time::picoseconds(sched + delay);
+      if (kind >= 90) {
+        const auto src = static_cast<std::uint32_t>(1 + rng.next_below(3));
+        import_seq[src] += 1 + rng.next_below(3);
+        q.schedule_imported(at, Time::picoseconds(sched), src, import_seq[src],
+                            [&fired, id] { fired = id; });
+        ref.emplace(at.ps(), sched, EventQueue::pack_provenance(src, import_seq[src]), id);
+        ++imports;
+      } else {
+        q.schedule(at, Time::picoseconds(sched), 0, [&fired, id] { fired = id; });
+        ref.emplace(at.ps(), sched, EventQueue::pack_provenance(0, scheduled), id);
+      }
+      ++scheduled;
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (!ref.empty()) {
+      pop_and_check();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.scheduled_total(), scheduled);
+    // Both paths carried real traffic: the lines most events, the heap the
+    // imports plus the local entries no line could take.
+    EXPECT_GT(q.heap_pushes(), imports);
+    EXPECT_LT(q.heap_pushes(), scheduled / 2);
+  }
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {
