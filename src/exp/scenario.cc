@@ -374,6 +374,9 @@ void Scenario::run_hybrid() {
     est = fastforward_->estimate_iteration_time(demand_, config_.fabric.host_link.bandwidth);
   }
 
+  // One record serves every synthesized (leaf, iteration): ingest() reads
+  // it before the next synthesize() overwrites it.
+  fp::IterationRecord synthesized;
   std::uint32_t hold = 0;          // alert-hold hysteresis, in iterations
   std::size_t seen_results = 0;    // results already scanned for alerts
   std::size_t seen_events = 0;     // mitigation events already seen
@@ -437,7 +440,8 @@ void Scenario::run_hybrid() {
       const sim::Time end = start + est;
       sim_->fast_forward(end);
       for (const net::LeafId l : core::ids<net::LeafId>(info.leaves)) {
-        flowpulse_->ingest(fastforward_->synthesize(l, net::IterIndex{iter}, start, end));
+        fastforward_->synthesize(l, net::IterIndex{iter}, start, end, synthesized);
+        flowpulse_->ingest(synthesized);
       }
       iter_windows_.emplace_back(start, end);
       sim_->fast_forward(end + config_.compute_gap);

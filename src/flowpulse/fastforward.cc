@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 
+#include "sim/audit.h"
 #include "sim/rng.h"
 
 namespace flowpulse::fp {
@@ -28,7 +30,7 @@ namespace {
 }  // namespace
 
 FastForwardModel::FastForwardModel(const net::TopologyInfo& info, Config config)
-    : info_{info}, config_{config}, baseline_{info.leaves, info.uplinks_per_leaf()} {}
+    : info_{info}, config_{config} {}
 
 double FastForwardModel::wire_bytes(core::Bytes payload) const {
   if (payload == core::Bytes{0}) return 0.0;
@@ -40,21 +42,60 @@ double FastForwardModel::wire_bytes(core::Bytes payload) const {
 void FastForwardModel::rebaseline(const collective::DemandMatrix& demand,
                                   const net::RoutingState& routing) {
   routing_ = &routing;
-  baseline_ = PortLoadMap{info_.leaves, info_.uplinks_per_leaf()};
+  const std::uint32_t uplinks = info_.uplinks_per_leaf();
   const std::uint32_t hosts = demand.hosts();
-  for (const net::HostId src : core::ids<net::HostId>(hosts)) {
-    const net::LeafId src_leaf = info_.leaf_of(src);
-    for (const net::HostId dst : core::ids<net::HostId>(hosts)) {
-      const core::Bytes d = demand.at(src, dst);
-      if (d == core::Bytes{0}) continue;
-      const net::LeafId dst_leaf = info_.leaf_of(dst);
+  cells_.clear();
+  cell_begin_.assign(info_.leaves + 1, 0);
+  port_begin_.assign(static_cast<std::size_t>(info_.leaves) * uplinks + 1, 0);
+  // Destination leaf outermost. A cell still receives its (src host, dst
+  // host) contributions in the order of a plain sweep over the demand
+  // matrix, so every share sums to the same double; and since a leaf's
+  // hosts are contiguous and valid uplinks ascend, each leaf's cells come
+  // out in (sender, uplink) order without sorting.
+  for (const net::LeafId dst_leaf : core::ids<net::LeafId>(info_.leaves)) {
+    cell_begin_[dst_leaf.v()] = static_cast<std::uint32_t>(cells_.size());
+    const std::uint32_t dst_first = dst_leaf.v() * info_.hosts_per_leaf;
+    const std::uint32_t dst_end = std::min(dst_first + info_.hosts_per_leaf, hosts);
+    net::LeafId group_leaf{info_.leaves};  // sender leaf whose cells are open
+    std::size_t group = 0;                 // index of its first cell
+    for (const net::HostId src : core::ids<net::HostId>(hosts)) {
+      const net::LeafId src_leaf = info_.leaf_of(src);
       if (src_leaf == dst_leaf) continue;
-      const auto& valid = routing.valid_uplinks(src_leaf, dst_leaf);
-      if (valid.empty()) continue;
-      const double share = wire_bytes(d) / static_cast<double>(valid.size());
-      for (const net::UplinkIndex u : valid) {
-        baseline_.add(dst_leaf, u, src_leaf, share);
+      for (std::uint32_t h = dst_first; h < dst_end; ++h) {
+        const core::Bytes d = demand.at(src, net::HostId{h});
+        if (d == core::Bytes{0}) continue;
+        const auto& valid = routing.valid_uplinks(src_leaf, dst_leaf);
+        if (valid.empty()) continue;
+        const double share = wire_bytes(d) / static_cast<double>(valid.size());
+        if (group_leaf != src_leaf) {
+          // The sender leaf's first demand opens one cell per valid uplink;
+          // every later host pair of the leaf pair shares the same set.
+          group_leaf = src_leaf;
+          group = cells_.size();
+          for (const net::UplinkIndex u : valid) cells_.push_back(Cell{src_leaf, u, 0.0});
+        }
+        for (std::size_t k = 0; k < valid.size(); ++k) cells_[group + k].share += share;
       }
+    }
+  }
+  cell_begin_[info_.leaves] = static_cast<std::uint32_t>(cells_.size());
+
+  // Transpose into per-port sender lists: count, prefix-sum, then scatter
+  // in (sender, uplink) order so each port's senders ascend.
+  const auto port = [uplinks](net::LeafId l, net::UplinkIndex u) {
+    return static_cast<std::size_t>(l.v()) * uplinks + u.v();
+  };
+  for (const net::LeafId l : core::ids<net::LeafId>(info_.leaves)) {
+    for (std::uint32_t c = cell_begin_[l.v()]; c < cell_begin_[l.v() + 1]; ++c) {
+      ++port_begin_[port(l, cells_[c].uplink) + 1];
+    }
+  }
+  for (std::size_t p = 1; p < port_begin_.size(); ++p) port_begin_[p] += port_begin_[p - 1];
+  port_src_.resize(cells_.size());
+  std::vector<std::uint32_t> next(port_begin_.begin(), port_begin_.end() - 1);
+  for (const net::LeafId l : core::ids<net::LeafId>(info_.leaves)) {
+    for (std::uint32_t c = cell_begin_[l.v()]; c < cell_begin_[l.v() + 1]; ++c) {
+      port_src_[next[port(l, cells_[c].uplink)]++] = cells_[c].src;
     }
   }
 }
@@ -95,68 +136,103 @@ double FastForwardModel::active_fraction(const net::FaultSpec& spec, sim::Time w
   return static_cast<double>(active) / window;
 }
 
-double FastForwardModel::survival(net::LeafId src, net::UplinkIndex u, net::LeafId dst,
-                                  sim::Time ws, sim::Time we) const {
+double FastForwardModel::survival(net::LeafId src, net::UplinkIndex u,
+                                  net::LeafId dst) const {
   double w = 1.0;
-  for (const FlowFault& f : faults_) {
+  for (std::size_t i = 0; i < faults_.size(); ++i) {
+    const FlowFault& f = faults_[i];
     if (f.uplink != u) continue;
     const bool up = f.uplink_dir && f.leaf == src;
     const bool down = f.downlink_dir && f.leaf == dst;
-    if (!up && !down) continue;
-    const double p = stationary_drop(f.spec) * active_fraction(f.spec, ws, we);
-    if (up) w *= 1.0 - p;
-    if (down) w *= 1.0 - p;
+    if (up) w *= 1.0 - drop_[i];
+    if (down) w *= 1.0 - drop_[i];
   }
   return w;
 }
 
-IterationRecord FastForwardModel::synthesize(net::LeafId leaf, net::IterIndex iteration,
-                                             sim::Time window_start,
-                                             sim::Time window_end) const {
-  assert(routing_ != nullptr && "rebaseline() before synthesize()");
-  const std::uint32_t uplinks = info_.uplinks_per_leaf();
-  IterationRecord rec;
-  rec.leaf = leaf;
-  rec.iteration = iteration;
-  rec.bytes.assign(uplinks, 0.0);
-  rec.by_src.assign(uplinks, std::vector<double>(info_.leaves, 0.0));
+void FastForwardModel::audit_cells([[maybe_unused]] net::LeafId leaf,
+                                   [[maybe_unused]] net::IterIndex iteration,
+                                   [[maybe_unused]] sim::Time at) const {
+#if FP_AUDIT_ENABLED
+  // Each sender's cells must be exactly the pair's valid uplinks under the
+  // current routing: a re-spray target outside them would vanish from the
+  // port sums, a cell on a quarantined uplink would feed a dead port. A
+  // mismatch means a routing change without rebaseline().
+  const std::uint32_t end = cell_begin_[leaf.v() + 1];
+  for (std::uint32_t c = cell_begin_[leaf.v()]; c < end;) {
+    const net::LeafId src = cells_[c].src;
+    const auto& valid = routing_->valid_uplinks(src, leaf);
+    bool match = true;
+    std::size_t k = 0;
+    for (; c < end && cells_[c].src == src; ++c, ++k) {
+      match = match && k < valid.size() && valid[k] == cells_[c].uplink;
+    }
+    FP_AUDIT(match && k == valid.size(), "flow-cell-index", "leaf" + std::to_string(leaf.v()),
+             iteration.v(), at.ps(),
+             "sender leaf" + std::to_string(src.v()) + " has " + std::to_string(k) +
+                 " cells but routing has " + std::to_string(valid.size()) +
+                 " valid uplinks, or they differ: rebaseline() missed a routing change");
+  }
+#endif
+}
 
-  for (const net::LeafId src : core::ids<net::LeafId>(info_.leaves)) {
-    if (src == leaf) continue;
-    if (config_.fault_model) {
-      // Attenuate each uplink's share by its survival weight, then re-spray
-      // the lost bytes uniformly over the pair's valid uplinks (retransmit
-      // resurfacing, first order).
+void FastForwardModel::synthesize(net::LeafId leaf, net::IterIndex iteration,
+                                  sim::Time window_start, sim::Time window_end,
+                                  IterationRecord& out) {
+  assert(routing_ != nullptr && "rebaseline() before synthesize()");
+  audit_cells(leaf, iteration, window_start);
+  const std::uint32_t uplinks = info_.uplinks_per_leaf();
+  out.leaf = leaf;
+  out.iteration = iteration;
+  out.bytes.resize(uplinks);
+  out.by_src.resize(uplinks);
+  for (std::vector<double>& row : out.by_src) row.assign(info_.leaves, 0.0);
+  const Cell* const first = cells_.data() + cell_begin_[leaf.v()];
+  const Cell* const last = cells_.data() + cell_begin_[leaf.v() + 1];
+
+  bool attenuate = false;
+  if (config_.fault_model) {
+    for (std::size_t i = 0; i < faults_.size(); ++i) {
+      const net::FaultSpec& spec = faults_[i].spec;
+      drop_[i] = stationary_drop(spec) * active_fraction(spec, window_start, window_end);
+      attenuate = attenuate || drop_[i] > 0.0;
+    }
+  }
+  if (!attenuate) {
+    for (const Cell* c = first; c != last; ++c) out.by_src[c->uplink.v()][c->src.v()] = c->share;
+  } else {
+    // Attenuate each cell by its survival weight, then re-spray a sender's
+    // lost bytes uniformly over the pair's valid uplinks (retransmit
+    // resurfacing, first order). A sender's cells are adjacent, in uplink
+    // order.
+    for (const Cell* c = first; c != last;) {
+      const net::LeafId src = c->src;
       double lost = 0.0;
-      for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(uplinks)) {
-        const double share = baseline_.at(leaf, u).by_src_leaf[src.v()];
-        if (share <= 0.0) continue;
-        const double w = survival(src, u, leaf, window_start, window_end);
-        rec.by_src[u.v()][src.v()] = share * w;
-        lost += share * (1.0 - w);
+      for (; c != last && c->src == src; ++c) {
+        const double w = survival(src, c->uplink, leaf);
+        out.by_src[c->uplink.v()][src.v()] = c->share * w;
+        lost += c->share * (1.0 - w);
       }
       if (lost > 0.0) {
         const auto& valid = routing_->valid_uplinks(src, leaf);
         if (!valid.empty()) {
           const double refill = lost / static_cast<double>(valid.size());
-          for (const net::UplinkIndex u : valid) rec.by_src[u.v()][src.v()] += refill;
+          for (const net::UplinkIndex u : valid) out.by_src[u.v()][src.v()] += refill;
         }
-      }
-    } else {
-      for (const net::UplinkIndex u : core::ids<net::UplinkIndex>(uplinks)) {
-        rec.by_src[u.v()][src.v()] = baseline_.at(leaf, u).by_src_leaf[src.v()];
       }
     }
   }
 
+  const std::uint32_t* const port_begin =
+      port_begin_.data() + static_cast<std::size_t>(leaf.v()) * uplinks;
   if (config_.noise_rel > 0.0) {
     // One deterministic stream per (leaf, iteration); draws happen in fixed
     // (uplink, sender) order so the record is reproducible from the seed.
     sim::Rng rng{mix(config_.seed ^ mix((static_cast<std::uint64_t>(leaf.v()) << 32) |
                                         iteration.v()))};
     for (std::uint32_t u = 0; u < uplinks; ++u) {
-      for (std::uint32_t s = 0; s < info_.leaves; ++s) {
-        double& v = rec.by_src[u][s];
+      for (std::uint32_t i = port_begin[u]; i < port_begin[u + 1]; ++i) {
+        double& v = out.by_src[u][port_src_[i].v()];
         if (v <= 0.0) continue;
         // Box–Muller; 1 − U keeps the log argument in (0, 1].
         const double u1 = 1.0 - rng.next_double();
@@ -171,13 +247,14 @@ IterationRecord FastForwardModel::synthesize(net::LeafId leaf, net::IterIndex it
   double total_bytes = 0.0;
   for (std::uint32_t u = 0; u < uplinks; ++u) {
     double t = 0.0;
-    for (const double v : rec.by_src[u]) t += v;
-    rec.bytes[u] = t;
+    for (std::uint32_t i = port_begin[u]; i < port_begin[u + 1]; ++i) {
+      t += out.by_src[u][port_src_[i].v()];
+    }
+    out.bytes[u] = t;
     total_bytes += t;
   }
   const double wire_mtu = static_cast<double>(config_.mtu_payload + config_.header_bytes.v());
-  rec.packets = static_cast<std::uint64_t>(total_bytes / wire_mtu + 0.5);
-  return rec;
+  out.packets = static_cast<std::uint64_t>(total_bytes / wire_mtu + 0.5);
 }
 
 sim::Time FastForwardModel::estimate_iteration_time(const collective::DemandMatrix& demand,

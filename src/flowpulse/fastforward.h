@@ -6,7 +6,6 @@
 #include "collective/demand_matrix.h"
 #include "core/units.h"
 #include "flowpulse/monitor.h"
-#include "flowpulse/port_load.h"
 #include "net/fault.h"
 #include "net/routing.h"
 #include "net/topology_info.h"
@@ -38,8 +37,34 @@ namespace flowpulse::fp {
 ///    models spray imbalance so downstream detector statistics stay
 ///    honest. Zero noise_rel yields the exact expectation.
 ///
-/// The synthesis is re-baselined whenever routing changes (quarantine /
-/// restore), exactly like the detector's prediction.
+/// # Cell index
+///
+/// The baseline is kept sparse: for each destination leaf, only its
+/// non-zero (sender, uplink, share) cells — on a ring, one sender's valid
+/// uplinks out of (leaves − 1) × uplinks. rebaseline() builds them flat, in
+/// one sweep over the demand matrix: a CSR offsets array per leaf into one
+/// cell array in (sender, uplink) order, plus a second CSR per (leaf,
+/// uplink) port listing its senders in ascending order. Synthesis then
+/// visits only those cells.
+///
+/// # Draw-order contract
+///
+/// The synthesized record is byte-identical to a dense sweep over every
+/// (sender, uplink) of the leaf, because the sparse visit keeps that
+/// sweep's floating-point order: each sender's lost bytes sum over its
+/// cells in uplink order; noise is drawn in (uplink, sender) order, one
+/// Box–Muller pair per cell whose value is > 0; port sums add the port's
+/// cells in sender order (the dense sweep only adds exact zeros beside
+/// them). A change to any of these orders changes the noise stream.
+///
+/// The synthesis must be re-baselined whenever routing changes (quarantine
+/// / restore), exactly like the detector's prediction; audit builds check
+/// every sender's cells against the current routing on each synthesis.
+///
+/// synthesize() overwrites a caller-owned record, so one record serves
+/// every leaf and iteration without allocating. A consumer handed that
+/// record (FlowPulseSystem::ingest and its record hook) may read it only
+/// until it returns, and must copy what it keeps.
 class FastForwardModel {
  public:
   struct Config {
@@ -61,18 +86,22 @@ class FastForwardModel {
 
   FastForwardModel(const net::TopologyInfo& info, Config config);
 
-  void set_faults(std::vector<FlowFault> faults) { faults_ = std::move(faults); }
+  void set_faults(std::vector<FlowFault> faults) {
+    faults_ = std::move(faults);
+    drop_.assign(faults_.size(), 0.0);
+  }
 
-  /// Recompute the healthy expectation for the current routing state. Must
-  /// be called before the first synthesize() and after every routing change;
-  /// keeps a reference to `routing` for per-pair re-spray sets.
+  /// Recompute the healthy expectation (the cell index) for the current
+  /// routing state. Must be called before the first synthesize() and after
+  /// every routing change; keeps a reference to `routing` for per-pair
+  /// re-spray sets.
   void rebaseline(const collective::DemandMatrix& demand, const net::RoutingState& routing);
 
-  /// Synthesize what `leaf`'s PortMonitor would have finalized for the
-  /// iteration spanning [window_start, window_end).
-  [[nodiscard]] IterationRecord synthesize(net::LeafId leaf, net::IterIndex iteration,
-                                           sim::Time window_start,
-                                           sim::Time window_end) const;
+  /// Overwrite `out` with what `leaf`'s PortMonitor would have finalized
+  /// for the iteration spanning [window_start, window_end). `out` may hold
+  /// anything, of any shape; once sized it is refilled without allocating.
+  void synthesize(net::LeafId leaf, net::IterIndex iteration, sim::Time window_start,
+                  sim::Time window_end, IterationRecord& out);
 
   /// Analytic iteration-duration estimate: serialization of the busiest
   /// host's wire bytes at `host_rate`, plus pipeline slack. Used by kFlow
@@ -86,17 +115,35 @@ class FastForwardModel {
   [[nodiscard]] static double active_fraction(const net::FaultSpec& spec,
                                               sim::Time window_start, sim::Time window_end);
 
-  [[nodiscard]] const PortLoadMap& baseline() const { return baseline_; }
-
  private:
+  /// One non-zero baseline cell of a destination leaf: `share` wire bytes
+  /// from sender leaf `src` arrive on `uplink`.
+  struct Cell {
+    net::LeafId src{};
+    net::UplinkIndex uplink{};
+    double share = 0.0;
+  };
+
   [[nodiscard]] double wire_bytes(core::Bytes payload) const;
-  [[nodiscard]] double survival(net::LeafId src, net::UplinkIndex u, net::LeafId dst,
-                                sim::Time ws, sim::Time we) const;
+  /// Survival weight of `src`'s traffic to `dst` over uplink `u`, from this
+  /// window's drop weights in drop_.
+  [[nodiscard]] double survival(net::LeafId src, net::UplinkIndex u, net::LeafId dst) const;
+  void audit_cells(net::LeafId leaf, net::IterIndex iteration, sim::Time at) const;
 
   net::TopologyInfo info_;
   Config config_;
   std::vector<FlowFault> faults_;
-  PortLoadMap baseline_;
+  /// Per fault, stationary drop × active fraction of the window being
+  /// synthesized; refilled once per synthesize() call.
+  std::vector<double> drop_;
+  /// Leaf l's cells are cells_[cell_begin_[l], cell_begin_[l + 1]), in
+  /// (sender, uplink) order.
+  std::vector<std::uint32_t> cell_begin_;
+  std::vector<Cell> cells_;
+  /// Port (l, u)'s senders are port_src_[port_begin_[p], port_begin_[p + 1])
+  /// with p = l × uplinks + u, ascending.
+  std::vector<std::uint32_t> port_begin_;
+  std::vector<net::LeafId> port_src_;
   const net::RoutingState* routing_ = nullptr;
 };
 

@@ -62,15 +62,23 @@ void EventQueue::schedule_imported(Time at, Time sched, std::uint32_t src, std::
 }
 
 void EventQueue::DelayLine::push_back(HeapEntry&& e) {
-  if (count == ring.size()) {
-    std::vector<HeapEntry> bigger(std::max<std::size_t>(16, 2 * ring.size()));
+  if (count == cap) {
+    const std::size_t bigger_cap = std::max<std::size_t>(16, 2 * cap);
+    std::vector<HeapEntry> bigger;
+    bigger.reserve(bigger_cap);
     for (std::size_t i = 0; i < count; ++i) {
-      bigger[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+      bigger.push_back(std::move(ring[(head + i) & (cap - 1)]));
     }
     ring = std::move(bigger);
+    cap = bigger_cap;
     head = 0;
   }
-  ring[(head + count) & (ring.size() - 1)] = std::move(e);
+  const std::size_t tail = (head + count) & (cap - 1);
+  if (tail == ring.size()) {
+    ring.push_back(std::move(e));
+  } else {
+    ring[tail] = std::move(e);
+  }
   ++count;
 }
 
@@ -120,8 +128,8 @@ EventQueue::Event EventQueue::pop() {
     DelayLine& l = lines_[front_];
     HeapEntry& e = l.front();
     ev = Event{e.at, e.prov, std::move(e.fn)};
-    l.head = (l.head + 1) & (l.ring.size() - 1);
-    if (--l.count == 0) live_ &= ~(1u << front_);
+    l.pop_front();
+    if (l.count == 0) live_ &= ~(1u << front_);
   }
   --size_;
   find_front();

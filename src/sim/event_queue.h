@@ -119,19 +119,25 @@ class EventQueue {
   };
   static_assert(sizeof(HeapEntry) <= 64, "heap entry should stay within one cache line");
 
-  /// FIFO ring of entries that share one delay; capacity is zero or a
-  /// power of two.
+  /// FIFO ring of entries that share one delay. The ring's capacity `cap`
+  /// is zero or a power of two and is reserved, not constructed: `ring`
+  /// grows by push_back until it fills, so a slot is first written when an
+  /// entry lands in it and a grown ring never becomes resident at once.
+  /// Until then head + count == ring.size(), so the tail is the next slot.
   struct DelayLine {
     std::vector<HeapEntry> ring;
+    std::size_t cap = 0;
     std::size_t head = 0;
     std::size_t count = 0;
 
     [[nodiscard]] HeapEntry& front() { return ring[head]; }
     [[nodiscard]] const HeapEntry& front() const { return ring[head]; }
-    [[nodiscard]] const HeapEntry& back() const {
-      return ring[(head + count - 1) & (ring.size() - 1)];
-    }
+    [[nodiscard]] const HeapEntry& back() const { return ring[(head + count - 1) & (cap - 1)]; }
     void push_back(HeapEntry&& e);
+    void pop_front() {
+      head = (head + 1) & (cap - 1);
+      --count;
+    }
   };
   static constexpr std::array<Time, kDelayLines> make_line_delays() {
     std::array<Time, kDelayLines> d{};

@@ -73,17 +73,21 @@ namespace flowpulse::testing {
   return cfg;
 }
 
-/// Run a scenario and hash its JSON report. wall_seconds is the single
-/// wall-clock-derived field; zero it so the hash is reproducible.
-[[nodiscard]] inline std::uint64_t report_hash(const exp::ScenarioConfig& cfg) {
-  exp::Scenario scenario{cfg};
-  exp::ScenarioResult result = scenario.run();
+/// Hash a run's JSON report. wall_seconds is the single wall-clock-derived
+/// field; zero it so the hash is reproducible.
+[[nodiscard]] inline std::uint64_t report_hash(exp::ScenarioResult result) {
   result.wall_seconds = 0.0;
   const std::string json =
       exp::to_json(result) + exp::alerts_to_json(result.detections) +
       exp::deviations_to_csv(result) +
       exp::mitigation_to_json(result.mitigation_events, result.recovery);
   return fnv1a64(json);
+}
+
+/// Run a scenario and hash its JSON report.
+[[nodiscard]] inline std::uint64_t report_hash(const exp::ScenarioConfig& cfg) {
+  exp::Scenario scenario{cfg};
+  return report_hash(scenario.run());
 }
 
 [[nodiscard]] inline std::uint64_t golden_report_hash() {

@@ -10,7 +10,9 @@
 
 #include <cstdint>
 
+#include "collective/demand_matrix.h"
 #include "exp/scenario.h"
+#include "flowpulse/fastforward.h"
 #include "flowpulse/system.h"
 #include "net/fat_tree.h"
 #include "net/packet.h"
@@ -178,6 +180,38 @@ TEST(Audit, PhantomMonitoredBytesFireReconciliation) {
   } catch (const audit::ViolationError& e) {
     EXPECT_EQ(e.violation().invariant, "monitor-reconciliation");
     EXPECT_EQ(e.violation().entity, "leaf0.up0");
+  }
+}
+
+TEST(Audit, FlowCellIndexMustFollowRouting) {
+  // A ring over 4 leaves: leaf 1 hears only from leaf 0, on every valid
+  // uplink. Changing routing without rebaseline() leaves the cell index
+  // stale in either direction.
+  const net::TopologyInfo shape{4, 2, 1, 1};
+  collective::DemandMatrix demand{4};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    demand.add(net::HostId{i}, net::HostId{(i + 1) % 4}, core::Bytes{1u << 20});
+  }
+  net::RoutingState routing{4, 2};
+  fp::FastForwardModel ff{shape, fp::FastForwardModel::Config{}};
+  fp::IterationRecord rec;
+  const auto synthesize_leaf1 = [&] {
+    ff.synthesize(net::LeafId{1}, net::IterIndex{0}, Time::zero(), Time::microseconds(10), rec);
+  };
+  const audit::ScopedHandler guard{&throw_violation};
+  for (const bool quarantine : {true, false}) {
+    routing.set_known_failed(net::LeafId{0}, net::UplinkIndex{1}, !quarantine);
+    ff.rebaseline(demand, routing);
+    synthesize_leaf1();  // index matches routing: quiet
+    routing.set_known_failed(net::LeafId{0}, net::UplinkIndex{1}, quarantine);
+    try {
+      synthesize_leaf1();
+      FAIL() << "flow-cell-index violation did not fire after "
+             << (quarantine ? "a quarantine" : "a restore");
+    } catch (const audit::ViolationError& e) {
+      EXPECT_EQ(e.violation().invariant, "flow-cell-index");
+      EXPECT_EQ(e.violation().entity, "leaf1");
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -211,8 +212,8 @@ TEST(FastForwardModel, NoiselessSynthesisMatchesAnalyticalPrediction) {
   const fp::PortLoadMap* prediction = scenario.prediction();
   ASSERT_NE(prediction, nullptr);
   for (const net::LeafId l : core::ids<net::LeafId>(cfg.fabric.shape.leaves)) {
-    const IterationRecord rec =
-        ff.synthesize(l, net::IterIndex{0}, sim::Time::zero(), sim::Time::microseconds(50));
+    IterationRecord rec;
+    ff.synthesize(l, net::IterIndex{0}, sim::Time::zero(), sim::Time::microseconds(50), rec);
     for (const net::UplinkIndex u :
          core::ids<net::UplinkIndex>(cfg.fabric.shape.uplinks_per_leaf())) {
       EXPECT_NEAR(rec.bytes[u.v()], prediction->at(l, u).total,
@@ -235,12 +236,10 @@ TEST(FastForwardModel, NoiseIsDeterministicAndBounded) {
   }
   fp::FastForwardModel ff{shape, ffc};
   ff.rebaseline(demand, routing);
-  const IterationRecord a =
-      ff.synthesize(net::LeafId{1}, net::IterIndex{3}, sim::Time::zero(), sim::Time::max());
-  const IterationRecord b =
-      ff.synthesize(net::LeafId{1}, net::IterIndex{3}, sim::Time::zero(), sim::Time::max());
-  const IterationRecord c =
-      ff.synthesize(net::LeafId{1}, net::IterIndex{4}, sim::Time::zero(), sim::Time::max());
+  IterationRecord a, b, c;
+  ff.synthesize(net::LeafId{1}, net::IterIndex{3}, sim::Time::zero(), sim::Time::max(), a);
+  ff.synthesize(net::LeafId{1}, net::IterIndex{3}, sim::Time::zero(), sim::Time::max(), b);
+  ff.synthesize(net::LeafId{1}, net::IterIndex{4}, sim::Time::zero(), sim::Time::max(), c);
   ASSERT_EQ(a.bytes.size(), b.bytes.size());
   double max_rel = 0.0;
   bool differs = false;
@@ -253,6 +252,66 @@ TEST(FastForwardModel, NoiseIsDeterministicAndBounded) {
   }
   EXPECT_TRUE(differs) << "noise must vary across iterations";
   EXPECT_LT(max_rel, 0.02) << "noise must stay well under the detection threshold";
+}
+
+// One record reused across leaves, iterations, a fault-window edge and a
+// quarantine + rebaseline must read exactly like a fresh one each time,
+// starting from a record sized for another shape.
+TEST(FastForwardModel, ReusedRecordEqualsFreshRecord) {
+  net::TopologyInfo shape{8, 4, 2, 1};
+  fp::FastForwardModel::Config ffc;
+  ffc.noise_rel = 0.002;
+  ffc.fault_model = true;
+  ffc.seed = 17;
+  collective::DemandMatrix demand{shape.num_hosts()};
+  for (std::uint32_t a = 0; a < shape.num_hosts(); ++a) {
+    for (std::uint32_t b = 0; b < shape.num_hosts(); ++b) {
+      if (a != b && (a * 7 + b) % 3 != 0) {
+        demand.add(net::HostId{a}, net::HostId{b}, core::Bytes{100'000 + 4'097 * (a + b)});
+      }
+    }
+  }
+  net::RoutingState routing{shape.leaves, shape.uplinks_per_leaf()};
+  fp::FastForwardModel ff{shape, ffc};
+  fp::FastForwardModel::FlowFault down;
+  down.leaf = net::LeafId{3};
+  down.uplink = net::UplinkIndex{1};
+  down.uplink_dir = false;
+  down.spec = net::FaultSpec::black_hole(sim::Time::microseconds(250));
+  fp::FastForwardModel::FlowFault up;
+  up.leaf = net::LeafId{5};
+  up.uplink = net::UplinkIndex{2};
+  up.downlink_dir = false;
+  up.spec = net::FaultSpec::random_drop(0.2);
+  ff.set_faults({down, up});
+  ff.rebaseline(demand, routing);
+
+  IterationRecord reused;
+  reused.leaf = net::LeafId{99};
+  reused.iteration = net::IterIndex{99};
+  reused.packets = 12345;
+  reused.bytes.assign(7, -1.0);
+  reused.by_src.assign(9, std::vector<double>(3, -1.0));
+  const sim::Time span = sim::Time::microseconds(100);
+  for (std::uint32_t iter = 0; iter < 6; ++iter) {
+    if (iter == 4) {
+      // Quarantine the faulty cable; the model follows the routing.
+      routing.set_known_failed(net::LeafId{3}, net::UplinkIndex{1});
+      ff.rebaseline(demand, routing);
+    }
+    // Iteration 2's window [200, 300) us straddles the fault's onset.
+    const sim::Time start = sim::Time::picoseconds(span.ps() * iter);
+    for (const net::LeafId l : core::ids<net::LeafId>(shape.leaves)) {
+      ff.synthesize(l, net::IterIndex{iter}, start, start + span, reused);
+      IterationRecord fresh;
+      ff.synthesize(l, net::IterIndex{iter}, start, start + span, fresh);
+      EXPECT_EQ(reused.leaf, fresh.leaf);
+      EXPECT_EQ(reused.iteration, fresh.iteration);
+      EXPECT_EQ(reused.packets, fresh.packets);
+      EXPECT_EQ(reused.bytes, fresh.bytes) << "leaf " << l.v() << " iteration " << iter;
+      EXPECT_EQ(reused.by_src, fresh.by_src) << "leaf " << l.v() << " iteration " << iter;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -433,6 +492,107 @@ TEST(FlowFidelity, ClosedLoopDetectsAndMitigatesAnalytically) {
   EXPECT_EQ(r.fidelity.mode, fp::FidelityMode::kFlow);
   EXPECT_EQ(r.fidelity.packet_iterations, 0u);
   EXPECT_EQ(r.fidelity.flow_iterations, cfg.iterations);
+}
+
+// ---------------------------------------------------------------------------
+// Flow-fidelity golden: the synthesized counters, bit for bit
+// ---------------------------------------------------------------------------
+
+// FNV-1a over 64-bit words (the bit patterns of doubles included).
+struct WordHash {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+};
+
+// One run's report hash folded with every record the system ingested.
+std::uint64_t flow_run_hash(const exp::ScenarioConfig& cfg) {
+  exp::Scenario scenario{cfg};
+  WordHash records;
+  scenario.flowpulse().set_record_hook([&records](const IterationRecord& r) {
+    records.add(std::uint64_t{r.leaf.v()});
+    records.add(std::uint64_t{r.iteration.v()});
+    records.add(r.packets);
+    for (const double b : r.bytes) records.add(b);
+    for (const std::vector<double>& row : r.by_src) {
+      for (const double v : row) records.add(v);
+    }
+  });
+  WordHash h;
+  h.add(testing::report_hash(scenario.run()));
+  h.add(records.h);
+  return h.h;
+}
+
+// A 16x8 flow-fidelity closed loop with a mid-run onset (iteration 60 of
+// 240, half-way through it) on one cable.
+exp::ScenarioConfig flow_golden_config(net::FaultSpec spec, exp::NewFault::Where where) {
+  exp::ScenarioConfig cfg;
+  cfg.fabric.shape = net::TopologyInfo{16, 8, 1, 1};
+  cfg.collective_bytes = core::Bytes{4'000'000};
+  cfg.iterations = 240;
+  cfg.seed = 1234;
+  cfg.fidelity.mode = fp::FidelityMode::kFlow;
+  cfg.fidelity.flow_iteration_time = sim::Time::microseconds(100);
+  cfg.mitigation.enabled = true;
+  cfg.mitigation.restore_probe_after = 20;
+  exp::NewFault f;
+  f.leaf = net::LeafId{6};
+  f.uplink = net::UplinkIndex{5};
+  f.where = where;
+  f.spec = spec;
+  cfg.new_faults.push_back(f);
+  return cfg;
+}
+
+sim::Time flow_golden_onset() {
+  // Span of one flow iteration: the fixed duration plus the compute gap.
+  const sim::Time span = sim::Time::microseconds(100) + exp::ScenarioConfig{}.compute_gap;
+  return sim::Time::picoseconds(span.ps() * 60 + span.ps() / 2);
+}
+
+// Pinned before the cell-index rewrite of FastForwardModel::synthesize; any
+// change to the synthesized counters (values, noise draws, record shape)
+// moves it.
+TEST(FlowFidelity, GoldenReportHash) {
+  using Where = exp::NewFault::Where;
+  const sim::Time onset = flow_golden_onset();
+  const sim::Time span = sim::Time::microseconds(110);
+  WordHash h;
+  // One run per fault kind, over both fault directions.
+  h.add(flow_run_hash(flow_golden_config(net::FaultSpec::black_hole(onset), Where::kDownlink)));
+  h.add(flow_run_hash(flow_golden_config(net::FaultSpec::random_drop(0.03, onset), Where::kBoth)));
+  h.add(flow_run_hash(flow_golden_config(
+      net::FaultSpec::gilbert_elliott(0.05, 20.0, 0.5, 0.0, onset), Where::kUplink)));
+  h.add(flow_run_hash(flow_golden_config(
+      net::FaultSpec::black_hole(onset).with_flap(
+          sim::Time::picoseconds(span.ps() * 10), sim::Time::picoseconds(span.ps() * 4)),
+      Where::kDownlink)));
+  // Streaming detector.
+  exp::ScenarioConfig streaming =
+      flow_golden_config(net::FaultSpec::random_drop(0.05, onset), Where::kDownlink);
+  streaming.flowpulse.detector = fp::DetectorKind::kStreaming;
+  h.add(flow_run_hash(streaming));
+  // Two hosts per leaf, all-to-all, one known-failed uplink: many host
+  // pairs fold into each (sender, uplink) share.
+  exp::ScenarioConfig a2a =
+      flow_golden_config(net::FaultSpec::black_hole(onset), Where::kDownlink);
+  a2a.fabric.shape.hosts_per_leaf = 2;
+  a2a.collective = collective::CollectiveKind::kAllToAll;
+  a2a.preexisting.emplace_back(net::LeafId{3}, net::UplinkIndex{2});
+  h.add(flow_run_hash(a2a));
+  // Hybrid: packet warmup and fault-guard demotions around flow stretches.
+  exp::ScenarioConfig hybrid = testing::golden_scenario_config();
+  hybrid.fidelity.mode = fp::FidelityMode::kHybrid;
+  hybrid.iterations = 40;
+  hybrid.new_faults[0].spec = net::FaultSpec::random_drop(0.10, sim::Time::microseconds(400));
+  h.add(flow_run_hash(hybrid));
+  EXPECT_EQ(h.h, 8522520430590934272ull);
 }
 
 TEST(HybridFidelity, ReportEmitsFidelitySectionOnlyWhenEnabled) {
