@@ -525,22 +525,18 @@ ScenarioResult Scenario::run() {
   // engine finalizes leaf records in packet-arrival order, which is an
   // engine scheduling detail, not a result; sorting here makes serial and
   // laned reports byte-identical and pins the goldens to the semantic
-  // content.
-  std::stable_sort(r.detections.begin(), r.detections.end(),
-                   [](const fp::DetectionResult& a, const fp::DetectionResult& b) {
-                     if (a.iteration.v() != b.iteration.v()) {
-                       return a.iteration.v() < b.iteration.v();
-                     }
-                     return a.leaf.v() < b.leaf.v();
-                   });
-  std::stable_sort(r.learned.begin(), r.learned.end(),
-                   [](const fp::FlowPulseSystem::LearnedOutcome& a,
-                      const fp::FlowPulseSystem::LearnedOutcome& b) {
-                     if (a.iteration.v() != b.iteration.v()) {
-                       return a.iteration.v() < b.iteration.v();
-                     }
-                     return a.leaf.v() < b.leaf.v();
-                   });
+  // content. Flow and hybrid loops already ingest in that order, and a
+  // stable sort of a sorted range is the identity, so they skip the sort.
+  const auto by_iteration_then_leaf = [](const auto& a, const auto& b) {
+    if (a.iteration.v() != b.iteration.v()) return a.iteration.v() < b.iteration.v();
+    return a.leaf.v() < b.leaf.v();
+  };
+  if (!std::is_sorted(r.detections.begin(), r.detections.end(), by_iteration_then_leaf)) {
+    std::stable_sort(r.detections.begin(), r.detections.end(), by_iteration_then_leaf);
+  }
+  if (!std::is_sorted(r.learned.begin(), r.learned.end(), by_iteration_then_leaf)) {
+    std::stable_sort(r.learned.begin(), r.learned.end(), by_iteration_then_leaf);
+  }
   r.iter_windows = iter_windows_;
   r.iter_fault_active.reserve(iter_windows_.size());
   for (const auto& [start, end] : iter_windows_) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <string>
 
 #include "sim/audit.h"
@@ -234,12 +233,7 @@ void FastForwardModel::synthesize(net::LeafId leaf, net::IterIndex iteration,
       for (std::uint32_t i = port_begin[u]; i < port_begin[u + 1]; ++i) {
         double& v = out.by_src[u][port_src_[i].v()];
         if (v <= 0.0) continue;
-        // Box–Muller; 1 − U keeps the log argument in (0, 1].
-        const double u1 = 1.0 - rng.next_double();
-        const double u2 = rng.next_double();
-        const double gauss =
-            std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * 3.141592653589793 * u2);
-        v = std::max(0.0, v * (1.0 + config_.noise_rel * gauss));
+        v = std::max(0.0, v * (1.0 + config_.noise_rel * rng.normal()));
       }
     }
   }

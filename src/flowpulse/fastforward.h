@@ -53,7 +53,8 @@ namespace flowpulse::fp {
 /// (sender, uplink) of the leaf, because the sparse visit keeps that
 /// sweep's floating-point order: each sender's lost bytes sum over its
 /// cells in uplink order; noise is drawn in (uplink, sender) order, one
-/// Box–Muller pair per cell whose value is > 0; port sums add the port's
+/// `Rng::normal()` per cell whose value is > 0 (ziggurat; a draw may
+/// consume more than one 64-bit word); port sums add the port's
 /// cells in sender order (the dense sweep only adds exact zeros beside
 /// them). A change to any of these orders changes the noise stream.
 ///

@@ -252,6 +252,41 @@ TEST(FastForwardModel, NoiseIsDeterministicAndBounded) {
   }
   EXPECT_TRUE(differs) << "noise must vary across iterations";
   EXPECT_LT(max_rel, 0.02) << "noise must stay well under the detection threshold";
+
+  // Pinned by distribution as well as by bits: over 4000 (leaf, iteration)
+  // records, each cell's relative deviation from the noiseless record has
+  // mean ~0 and standard deviation noise_rel (within 5%).
+  fp::FastForwardModel::Config quiet_cfg = ffc;
+  quiet_cfg.noise_rel = 0.0;
+  fp::FastForwardModel quiet{shape, quiet_cfg};
+  quiet.rebaseline(demand, routing);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  std::size_t cells = 0;
+  IterationRecord noisy;
+  IterationRecord exact;
+  for (std::uint32_t it = 0; it < 1000; ++it) {
+    for (std::uint32_t leaf = 0; leaf < shape.leaves; ++leaf) {
+      ff.synthesize(net::LeafId{leaf}, net::IterIndex{it}, sim::Time::zero(), sim::Time::max(),
+                    noisy);
+      quiet.synthesize(net::LeafId{leaf}, net::IterIndex{it}, sim::Time::zero(),
+                       sim::Time::max(), exact);
+      for (std::size_t u = 0; u < exact.by_src.size(); ++u) {
+        for (std::size_t src = 0; src < exact.by_src[u].size(); ++src) {
+          if (exact.by_src[u][src] <= 0.0) continue;
+          const double rel = noisy.by_src[u][src] / exact.by_src[u][src] - 1.0;
+          sum += rel;
+          sum_sq += rel * rel;
+          ++cells;
+        }
+      }
+    }
+  }
+  ASSERT_GE(cells, 2u * 4000u);
+  const double mean = sum / static_cast<double>(cells);
+  const double sd = std::sqrt(sum_sq / static_cast<double>(cells) - mean * mean);
+  EXPECT_NEAR(mean, 0.0, 4.0 * ffc.noise_rel / std::sqrt(static_cast<double>(cells)));
+  EXPECT_NEAR(sd, ffc.noise_rel, 0.05 * ffc.noise_rel);
 }
 
 // One record reused across leaves, iterations, a fault-window edge and a
@@ -556,9 +591,14 @@ sim::Time flow_golden_onset() {
   return sim::Time::picoseconds(span.ps() * 60 + span.ps() / 2);
 }
 
-// Pinned before the cell-index rewrite of FastForwardModel::synthesize; any
-// change to the synthesized counters (values, noise draws, record shape)
-// moves it.
+// Pins the synthesized counters bit for bit: any change to their values,
+// noise draws or record shape moves it, and a re-pin must show the verdicts
+// of all seven runs held (CHANGES.md keeps the table for each re-pin). Two
+// runs sit at a noise-sensitive edge. The Gilbert–Elliott run's half-active
+// onset iteration deviates 0.984% without noise, just under the 1%
+// threshold, so a new noise stream may move its detection between
+// iterations 60 and 61. The streaming run's false alerts are Gaussian tails
+// past the detector's variance floor and land on other rows with each draw.
 TEST(FlowFidelity, GoldenReportHash) {
   using Where = exp::NewFault::Where;
   const sim::Time onset = flow_golden_onset();
@@ -592,7 +632,7 @@ TEST(FlowFidelity, GoldenReportHash) {
   hybrid.iterations = 40;
   hybrid.new_faults[0].spec = net::FaultSpec::random_drop(0.10, sim::Time::microseconds(400));
   h.add(flow_run_hash(hybrid));
-  EXPECT_EQ(h.h, 8522520430590934272ull);
+  EXPECT_EQ(h.h, 11257472243324019224ull);
 }
 
 TEST(HybridFidelity, ReportEmitsFidelitySectionOnlyWhenEnabled) {

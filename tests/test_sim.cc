@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -421,6 +422,91 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (child.next_u64() == parent_copy.next_u64()) ++same;
   }
   EXPECT_LT(same, 2);
+}
+
+double standard_normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
+
+// The ziggurat sampler against N(0, 1). Every bound is a 4-sigma sampling
+// band (or the KS 1% critical value), wide enough for a correct sampler on
+// almost any seed; the fixed seed keeps the test reproducible.
+TEST(Rng, NormalMatchesStandardNormal) {
+  constexpr std::size_t kDraws = 4'000'000;
+  const double n = static_cast<double>(kDraws);
+  Rng rng{20240615};
+  std::vector<double> z(kDraws);
+  for (double& v : z) v = rng.normal();
+
+  double sum = 0.0;
+  for (const double v : z) sum += v;
+  const double mean = sum / n;
+  double m2 = 0.0;
+  double m4 = 0.0;
+  for (const double v : z) {
+    const double d2 = (v - mean) * (v - mean);
+    m2 += d2;
+    m4 += d2 * d2;
+  }
+  m2 /= n;
+  m4 /= n;
+  EXPECT_NEAR(mean, 0.0, 4.0 / std::sqrt(n));
+  EXPECT_NEAR(m2, 1.0, 4.0 * std::sqrt(2.0 / n));
+  EXPECT_NEAR(m4 / (m2 * m2), 3.0, 4.0 * std::sqrt(24.0 / n));
+
+  // Each tail's mass on its own, so a sign lost on one side shows; beyond
+  // 4 sigma is reachable only through the exponential tail past R.
+  for (const double k : {1.0, 2.0, 3.0, 4.0}) {
+    const double p = standard_normal_cdf(-k);
+    const double band = 4.0 * std::sqrt(n * p * (1.0 - p));
+    const auto above = std::count_if(z.begin(), z.end(), [k](double v) { return v > k; });
+    const auto below = std::count_if(z.begin(), z.end(), [k](double v) { return v < -k; });
+    EXPECT_NEAR(static_cast<double>(above), n * p, band) << "P(z > " << k << ")";
+    EXPECT_NEAR(static_cast<double>(below), n * p, band) << "P(z < -" << k << ")";
+  }
+
+  std::sort(z.begin(), z.end());
+  double ks = 0.0;
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    const double cdf = standard_normal_cdf(z[i]);
+    ks = std::max({ks, static_cast<double>(i + 1) / n - cdf, cdf - static_cast<double>(i) / n});
+  }
+  EXPECT_LT(ks, 1.628 / std::sqrt(n)) << "Kolmogorov-Smirnov statistic";
+
+  Rng a{77};
+  Rng b{77};
+  for (int i = 0; i < 10000; ++i) ASSERT_EQ(a.normal(), b.normal()) << "draw " << i;
+}
+
+// The ziggurat tables are what Marsaglia's construction gives for R and V:
+// x re-derived layer by layer from R, f = exp(-x²/2), every layer of area V,
+// and the top layer closing exactly at x = 0.
+TEST(Rng, NormalZigguratTablesAreEqualArea) {
+  using ziggurat::kLayers;
+  using ziggurat::kR;
+  using ziggurat::kV;
+  const auto& xs = ziggurat::x();
+  const auto& fs = ziggurat::f();
+  const auto f = [](double x) { return std::exp(-0.5 * x * x); };
+  constexpr double kRel = 1e-12;
+
+  EXPECT_EQ(xs[1], kR);
+  EXPECT_EQ(xs[kLayers], 0.0);
+  EXPECT_EQ(fs[kLayers], 1.0);
+  EXPECT_NEAR(xs[0], kV / f(kR), kRel * xs[0]);
+  for (int i = 0; i <= kLayers; ++i) EXPECT_NEAR(fs[i], f(xs[i]), kRel * fs[i]) << "f[" << i << "]";
+
+  double x = kR;
+  for (int i = 2; i < kLayers; ++i) {
+    x = std::sqrt(-2.0 * std::log(f(x) + kV / x));
+    EXPECT_NEAR(xs[i], x, kRel * x) << "x[" << i << "]";
+  }
+
+  // Base layer: the rectangle under f(R) plus the tail past R.
+  const double tail = std::sqrt(std::acos(-1.0) / 2.0) * std::erfc(kR / std::sqrt(2.0));
+  EXPECT_NEAR(kR * f(kR) + tail, kV, kRel * kV);
+  EXPECT_NEAR(xs[0] * fs[1], kV, kRel * kV);
+  for (int i = 1; i < kLayers; ++i) {
+    EXPECT_NEAR(xs[i] * (fs[i + 1] - fs[i]), kV, kRel * kV) << "layer " << i;
+  }
 }
 
 }  // namespace
